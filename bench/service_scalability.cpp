@@ -97,18 +97,6 @@ struct Point {
     double hostWallMs = 0; ///< Host time of the run (not simulated).
 };
 
-/// One host-threads point: the top scale-up config re-run under the
-/// host-parallel engine (docs/parallel-engine.md). Simulated results
-/// must be bit-identical to the sequential point — only the host wall
-/// clock may move, and check_bench_regression.py gates it under the
-/// wide one-sided host tolerance, never the simulated band.
-struct HostPoint {
-    unsigned threads = 1;
-    Cycle cycles = 0;
-    std::uint64_t commits = 0;
-    double wallMs = 0;
-};
-
 /// Trace-writer overhead: the top scale-up point re-run with the
 /// live record stream additionally written to an .rtt file
 /// (docs/streaming.md). Streaming is a host-side sink on the audit
@@ -128,10 +116,13 @@ struct TraceStreamPoint {
 
 /// One scenario point: the top scale-up config re-run under a
 /// registered scenario (docs/scenarios.md) — open-loop arrivals,
-/// mid-run shifts, fault windows. Pins each scenario's throughput and
-/// arrival ledger so traffic-shape behaviour cannot drift silently.
+/// mid-run shifts, fault windows. A link fault only engages on a
+/// fleet, so link scenarios run on the 2-cluster config instead. Pins
+/// each scenario's throughput and arrival ledger so traffic-shape
+/// behaviour cannot drift silently.
 struct ScenarioPoint {
     const char *name = "";
+    unsigned clusters = 1;
     Cycle cycles = 0;
     double throughput = 0; ///< Commits per kilocycle.
     std::uint64_t injected = 0;
@@ -158,7 +149,6 @@ void
 writeJson(const char *path, double scale, unsigned nthreads,
           const std::vector<Point> &points,
           const std::vector<FleetPoint> &fleet,
-          const std::vector<HostPoint> &host,
           const std::vector<ScenarioPoint> &scenarios,
           const TraceStreamPoint &ts, double gain)
 {
@@ -205,27 +195,17 @@ writeJson(const char *path, double scale, unsigned nthreads,
                      (unsigned long long)p.netMessages,
                      (unsigned long long)p.netQueueCycles);
     }
-    std::fprintf(f, "],\"host_points\":[");
-    for (std::size_t i = 0; i < host.size(); ++i) {
-        const HostPoint &p = host[i];
-        std::fprintf(f,
-                     "%s{\"host_threads\":%u,\"cycles\":%llu,"
-                     "\"commits\":%llu,\"host_wall_ms\":%.2f}",
-                     i ? "," : "", p.threads,
-                     (unsigned long long)p.cycles,
-                     (unsigned long long)p.commits, p.wallMs);
-    }
     std::fprintf(f, "],\"scenario_points\":[");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const ScenarioPoint &p = scenarios[i];
         std::fprintf(f,
-                     "%s{\"scenario\":\"%s\",\"cycles\":%llu,"
-                     "\"commits_per_kcycle\":%.4f,"
+                     "%s{\"scenario\":\"%s\",\"clusters\":%u,"
+                     "\"cycles\":%llu,\"commits_per_kcycle\":%.4f,"
                      "\"injected\":%llu,\"completed\":%llu,"
                      "\"dropped\":%llu,\"peak_backlog\":%llu,"
                      "\"stall_cycles\":%llu,"
                      "\"bank_fault_cycles\":%llu}",
-                     i ? "," : "", p.name,
+                     i ? "," : "", p.name, p.clusters,
                      (unsigned long long)p.cycles, p.throughput,
                      (unsigned long long)p.injected,
                      (unsigned long long)p.completed,
@@ -389,17 +369,18 @@ main(int argc, char **argv)
     // must come down as more commits pay interconnect round trips for
     // remote bank tokens — the baseline pins that curve.
     std::vector<FleetPoint> fleet;
-    if (base.nthreads >= 4) {
-        api::RunConfig fbase = base;
-        fbase.clusters = 2;
-        fbase.nthreads = base.nthreads / 2; // Per-cluster on a fleet.
-        fbase.shards = 2;
-        fbase.memBanks = 2;
-        fbase.servicePartitions = 2;
-        fbase.tm.backoff.policy = htm::BackoffPolicy::Linear;
-        fbase.tm.backoff.base = kBackoffBase;
-        fbase.tm.backoff.cap = kBackoffCap;
-        fbase.contentionSched = true;
+    const bool has_fleet = base.nthreads >= 4;
+    api::RunConfig fbase = base;
+    fbase.clusters = 2;
+    fbase.nthreads = base.nthreads / 2; // Per-cluster on a fleet.
+    fbase.shards = 2;
+    fbase.memBanks = 2;
+    fbase.servicePartitions = 2;
+    fbase.tm.backoff.policy = htm::BackoffPolicy::Linear;
+    fbase.tm.backoff.base = kBackoffBase;
+    fbase.tm.backoff.cap = kBackoffCap;
+    fbase.contentionSched = true;
+    if (has_fleet) {
         std::printf("fleet axis: 2 clusters x (%u cores, 2 shards, "
                     "2 banks) vs cross-cluster fraction\n",
                     fbase.nthreads);
@@ -441,61 +422,16 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    // Host-threads axis: the top scale-up point re-run under the
-    // host-parallel engine (docs/parallel-engine.md). The engine is a
-    // host-side execution choice only, so cycles and commits must be
-    // bit-identical to the sequential run — this doubles as a
-    // determinism self-check at full bench sizing. Only host_wall_ms
-    // may move (and on a single-core host it only moves up: the
-    // engine's win is concurrency, not work reduction).
-    std::vector<HostPoint> host;
-    if (points.size() >= 2 && base.nthreads >= 4) {
-        const Point &top = points.back();
-        api::RunConfig cfg = base;
-        cfg.shards = top.shards;
-        cfg.memBanks = top.banks;
-        cfg.servicePartitions = top.partitions;
-        cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
-        cfg.tm.backoff.base = kBackoffBase;
-        cfg.tm.backoff.cap = kBackoffCap;
-        cfg.contentionSched = true;
-        std::printf("host axis: %ux%ux%u point vs host threads\n",
-                    top.shards, top.banks, top.partitions);
-        for (unsigned ht : {1u, 2u, 4u}) {
-            if (ht > top.shards)
-                break;
-            cfg.hostThreads = ht;
-            api::RunResult r = api::runOnce(cfg);
-            flagInvalid(r, "service");
-            all_ok = all_ok && r.validation.ok && r.reenact.ok();
-            HostPoint p;
-            p.threads = r.hostParallel.threads;
-            p.cycles = r.cycles;
-            p.commits = r.coreStats.commits;
-            p.wallMs = r.hostParallel.wallMs;
-            host.push_back(p);
-            std::printf("  %u host thread%s: %llu cycles, %llu "
-                        "commits, %.1f ms host wall\n",
-                        ht, ht == 1 ? "" : "s",
-                        (unsigned long long)p.cycles,
-                        (unsigned long long)p.commits, p.wallMs);
-            if (p.cycles != top.cycles ||
-                p.commits != host.front().commits) {
-                std::printf("!! host-parallel run diverged from the "
-                            "sequential point\n");
-                all_ok = false;
-            }
-        }
-        std::printf("\n");
-    }
-
     // Scenario axis: the top scale-up config re-run under every
     // registered scenario (docs/scenarios.md). Open-loop arrivals make
     // throughput arrival-limited instead of core-limited, and the
     // fault scenarios carve capacity out — the baseline pins each
     // shape's commits/kcycle and its arrival ledger, so a change in
     // traffic-shape behaviour (or a silently dead scenario) fails the
-    // bench gate like any other simulated regression.
+    // bench gate like any other simulated regression. A link fault is
+    // inert on one cluster, so link scenarios run on the fleet config
+    // at the first nonzero cross-cluster fraction, where messages do
+    // cross the degraded link.
     std::vector<ScenarioPoint> scenarios;
     if (!points.empty()) {
         const Point &top = points.back();
@@ -513,8 +449,16 @@ main(int argc, char **argv)
                     "scenarios\n",
                     top.shards, top.banks, top.partitions);
         for (const scenario::Scenario &sc : scenario::registry()) {
-            cfg.scenario = sc.name;
-            api::RunResult r = api::runOnce(cfg);
+            scenario::Plan plan;
+            sc.setup(plan, scenario::Env{});
+            const bool on_fleet = plan.fault.linkDegrade && has_fleet;
+            api::RunConfig scfg = cfg;
+            if (on_fleet) {
+                scfg = fbase;
+                scfg.crossClusterFraction = 0.1;
+            }
+            scfg.scenario = sc.name;
+            api::RunResult r = api::runOnce(scfg);
             flagInvalid(r, "service");
             all_ok = all_ok && r.validation.ok && r.reenact.ok() &&
                      r.reenact.forwardedCommitsSkipped == 0;
@@ -527,8 +471,15 @@ main(int argc, char **argv)
                             sc.name);
                 all_ok = false;
             }
+            if (on_fleet && ss.linkFaultMessages == 0) {
+                std::printf("!! %s link fault never touched a "
+                            "message\n",
+                            sc.name);
+                all_ok = false;
+            }
             ScenarioPoint p;
             p.name = sc.name;
+            p.clusters = scfg.clusters;
             p.cycles = r.cycles;
             p.throughput = 1000.0 * double(r.coreStats.commits) /
                            double(r.cycles);
@@ -539,9 +490,11 @@ main(int argc, char **argv)
             p.stallCycles = ss.stallCycles;
             p.bankFaultCycles = ss.bankFaultCycles;
             scenarios.push_back(p);
-            std::printf("  %-15s %llu cycles, %.2f commits/kcycle"
-                        ", %llu/%llu/%llu inj/done/drop\n",
-                        sc.name, (unsigned long long)p.cycles,
+            std::printf("  %-15s %u cluster%s: %llu cycles, "
+                        "%.2f commits/kcycle, %llu/%llu/%llu "
+                        "inj/done/drop\n",
+                        sc.name, p.clusters, p.clusters == 1 ? "" : "s",
+                        (unsigned long long)p.cycles,
                         p.throughput, (unsigned long long)p.injected,
                         (unsigned long long)p.completed,
                         (unsigned long long)p.dropped);
@@ -614,7 +567,7 @@ main(int argc, char **argv)
                     points.size());
         if (json_path)
             writeJson(json_path, base.scale, base.nthreads, points,
-                      fleet, host, scenarios, ts, 0);
+                      fleet, scenarios, ts, 0);
         return all_ok ? 0 : 1;
     }
     const Point &first = points.front();
@@ -626,7 +579,7 @@ main(int argc, char **argv)
                 last.banks, last.partitions, gain);
     if (json_path)
         writeJson(json_path, base.scale, base.nthreads, points, fleet,
-                  host, scenarios, ts, gain);
+                  scenarios, ts, gain);
     double min_gain = quick ? kMinGainQuick : 1.0;
     if (!(gain > min_gain) || !all_ok) {
         std::printf("FAIL: scale-out gain %.2fx below the %.2fx floor "

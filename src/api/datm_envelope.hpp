@@ -21,8 +21,13 @@
  *    retry storms that previously kept yada/intruder from converging
  *    at moderate scales.
  *
+ * The envelope is keyed on thread count as well as scale: intruder's
+ * retry storm at 16 and 32 threads leaks its arena without bound, so
+ * no arena size helps there (see the table's reason).
+ *
  * Points outside the envelope are *skipped*, never silently shrunk:
- * sweep_main consults datmSupported() and prints the skip.
+ * sweep_main consults datmSupported() and prints the skip with the
+ * row's reason.
  */
 
 #ifndef RETCON_API_DATM_ENVELOPE_HPP
@@ -46,6 +51,9 @@ struct DatmEnvelopeEntry {
     /** Largest supported scale (0 = unsupported at any scale). */
     double maxScale;
 
+    /** Largest supported fleet-wide thread count. */
+    unsigned maxThreads;
+
     /** Supported on a multi-cluster fleet (clusters > 1)? */
     bool fleetSupported;
 
@@ -56,14 +64,17 @@ struct DatmEnvelopeEntry {
 /** The full envelope table. */
 const std::vector<DatmEnvelopeEntry> &datmEnvelope();
 
+/** The envelope row covering @p workload, or null when unlisted. */
+const DatmEnvelopeEntry *datmEnvelopeRow(const std::string &workload);
+
 /**
- * True when @p workload under DATM at (@p scale, @p clusters) is
- * inside the supported envelope — i.e. runOnce with the automatic
- * DATM mitigations completes, validates, and audits with zero skipped
- * forwarding chains.
+ * True when @p workload under DATM at (@p scale, @p nthreads
+ * fleet-wide threads, @p clusters) is inside the supported envelope —
+ * i.e. runOnce with the automatic DATM mitigations completes,
+ * validates, and audits with zero skipped forwarding chains.
  */
 bool datmSupported(const std::string &workload, double scale,
-                   unsigned clusters);
+                   unsigned nthreads, unsigned clusters);
 
 /**
  * Per-mode arena sizing: the per-thread arena bytes runOnce hands the

@@ -103,7 +103,6 @@ runOnce(const RunConfig &cfg)
     ccfg.numShards = cfg.shards;
     ccfg.shardBandwidth = cfg.shardBandwidth;
     ccfg.shardWorkStealing = cfg.shardWorkStealing;
-    ccfg.hostThreads = cfg.hostThreads;
     ccfg.memBanks = cfg.memBanks;
     ccfg.timing.bankOccupancy = cfg.memBankOccupancy;
     ccfg.sched = cfg.sched;
@@ -123,7 +122,7 @@ runOnce(const RunConfig &cfg)
     // Machine-level fault overlays from the scenario plan. Both are
     // windows over simulated time keyed on addresses/link indices —
     // pure functions of simulated state, so the determinism contract
-    // (shards, hostThreads, banks) is untouched.
+    // (shards, banks) is untouched.
     if (scenarioRt) {
         const scenario::FaultConfig &f = scenarioRt->plan().fault;
         if (f.bankSlow) {
@@ -194,10 +193,6 @@ runOnce(const RunConfig &cfg)
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - host0)
             .count();
-    if (const ParallelEngine *eng = cluster.engine()) {
-        result.hostParallel.threads = eng->stats().workers;
-        result.hostParallel.barrierStalls = eng->stats().stalls;
-    }
     result.breakdown = cluster.aggregateBreakdown();
     result.coreStats = cluster.aggregateStats();
     result.machineStats = cluster.machine().stats();
@@ -310,7 +305,6 @@ runOnce(const RunConfig &cfg)
         if (cfg.trace.ringCapacity > 0 &&
             (cfg.trace.captureInto ||
              !cfg.trace.exportJsonPath.empty() ||
-             !cfg.trace.exportCsvPath.empty() ||
              !cfg.trace.exportBinPath.empty())) {
             std::vector<trace::Record> merged = mux->mergedSnapshot();
             if (cfg.trace.exportSeqMin != 0 ||
@@ -320,8 +314,6 @@ runOnce(const RunConfig &cfg)
             }
             if (!cfg.trace.exportJsonPath.empty())
                 trace::exportJsonFile(merged, cfg.trace.exportJsonPath);
-            if (!cfg.trace.exportCsvPath.empty())
-                trace::exportCsvFile(merged, cfg.trace.exportCsvPath);
             if (!cfg.trace.exportBinPath.empty())
                 trace::exportBinaryFile(merged, cfg.trace.exportBinPath);
             if (cfg.trace.captureInto)

@@ -45,13 +45,11 @@ struct TraceOptions {
 
     /** When non-empty, export retained events after the run. */
     std::string exportJsonPath;
-    std::string exportCsvPath;
 
     /**
      * When non-empty, export retained events as framed binary (.rtt,
-     * trace::exportBinaryFile) after the run — the third export
-     * format, bit-exact with the JSON/CSV round trip
-     * (docs/streaming.md).
+     * trace::exportBinaryFile) after the run — bit-exact with the
+     * JSON round trip (docs/streaming.md).
      */
     std::string exportBinPath;
 
@@ -115,14 +113,7 @@ struct RunConfig {
     unsigned shardBandwidth = 0; ///< Events/cycle/shard; 0 = unlimited.
     bool shardWorkStealing = true;
 
-    /**
-     * Host threads driving the simulation (0/1 = sequential engine;
-     * >= 2 runs the conservative host-parallel engine on
-     * min(hostThreads, shards) threads). Purely host-side: simulated
-     * results, traces, and audit verdicts are bit-identical for any
-     * value — a contract enforced by tests/unit/test_parallel_engine
-     * (see docs/parallel-engine.md).
-     */
+    /// Unused: kept because the benchmark driver (perf/) assigns it.
     unsigned hostThreads = 0;
 
     /**
@@ -196,7 +187,7 @@ struct RunConfig {
      * run, bit-identical to pre-scenario behaviour. runOnce fatal()s
      * on unknown names and on non-service workloads; the plan is
      * derived deterministically from `seed`, so scenario runs keep
-     * the full shards/hostThreads/banks determinism contract and run
+     * the full shards/banks determinism contract and run
      * under the reenactment audit like any other run.
      */
     std::string scenario;
@@ -267,18 +258,15 @@ struct NetSummary {
 /**
  * Host-side execution metadata: how the simulation ran, never what it
  * computed. Excluded from determinism fingerprints by design — wall
- * time and stall counts are timing-dependent even when every simulated
- * result is bit-identical.
+ * time varies even when every simulated result is bit-identical.
  */
-struct HostParallelSummary {
-    unsigned threads = 1;   ///< Engine worker threads (1 = sequential).
-    double wallMs = 0.0;    ///< Host wall-clock time of the run.
-    std::uint64_t barrierStalls = 0; ///< Holder waits on in-flight mail.
+struct HostSummary {
+    double wallMs = 0.0; ///< Host wall-clock time of the event loop.
 };
 
 /**
  * Live trace-stream writer activity (all-zero unless
- * TraceOptions::streamPath). Host-side like HostParallelSummary:
+ * TraceOptions::streamPath). Host-side like HostSummary:
  * flush stalls are wall time the event loop spent blocked in stream
  * writes, never simulated cycles — streaming must not perturb the
  * simulation (bench/trace_stream proves cycles identical either way).
@@ -296,7 +284,7 @@ struct TraceStreamSummary {
  * (scenario::Runtime::Stats); the fault fields read the machine-level
  * overlays back out of the memory system and the interconnect.
  * Everything here is simulated state — part of the determinism
- * fingerprint, unlike HostParallelSummary.
+ * fingerprint, unlike HostSummary.
  */
 struct ScenarioSummary {
     std::string name;
@@ -363,8 +351,9 @@ struct RunResult {
     /** Stream-writer activity (0 unless trace.streamPath was set). */
     TraceStreamSummary traceStream;
 
-    /** Host-side engine metadata (not part of simulated results). */
-    HostParallelSummary hostParallel;
+    /** Host-side metadata (not part of simulated results). The
+     *  member keeps its name because the benchmark driver reads it. */
+    HostSummary hostParallel;
 
     /** Scenario outcome (empty name unless RunConfig::scenario). */
     ScenarioSummary scenario;

@@ -77,7 +77,7 @@ reachClassName(ReachClass c)
 ReachClass
 classifyKnob(const std::string &knob)
 {
-    if (knob == "shards" || knob == "memBanks" || knob == "hostThreads")
+    if (knob == "shards" || knob == "memBanks")
         return ReachClass::Nothing;
     if (knob == "backoff" || knob == "contentionSched" ||
         knob == "commitTokenArbitration" ||
@@ -171,10 +171,6 @@ applyKnob(RunConfig &cfg, const std::string &knob,
         if (!parseU64(value, u) || u == 0 || u > 64)
             return false;
         cfg.memBanks = static_cast<unsigned>(u);
-    } else if (knob == "hostThreads") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.hostThreads = static_cast<unsigned>(u);
     } else {
         return false;
     }
@@ -193,7 +189,6 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
     if (rec.trace.ringCapacity == 0)
         rec.trace.ringCapacity = std::size_t{1} << 20;
     rec.trace.exportJsonPath.clear();
-    rec.trace.exportCsvPath.clear();
 
     RunConfig var = rec;
     out.reach = ReachClass::Nothing;
@@ -232,30 +227,6 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
         break;
     }
 
-    // Splice: recorded prefix verbatim + variant suffix. The prefix
-    // proof checks the variant actually reproduced the prefix — if a
-    // knob were misclassified, this is where it shows.
-    std::vector<trace::Record> prefix =
-        trace::reusablePrefix(out.recorded, out.firstReachableSeq);
-    out.prefixRecords = prefix.size();
-    out.prefixReuse =
-        out.recorded.empty()
-            ? 1.0
-            : static_cast<double>(prefix.size()) /
-                  static_cast<double>(out.recorded.size());
-    out.prefixProofHeld = prefix.size() <= out.variant.size();
-    for (std::size_t i = 0; out.prefixProofHeld && i < prefix.size();
-         ++i)
-        out.prefixProofHeld =
-            trace::recordsIdentical(prefix[i], out.variant[i]);
-
-    out.reconstructed = prefix;
-    out.reconstructed.insert(out.reconstructed.end(),
-                             out.variant.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(prefix.size(),
-                                          out.variant.size())),
-                             out.variant.end());
-
     // Divergence: first record where the streams differ.
     std::size_t n = std::min(out.recorded.size(), out.variant.size());
     std::size_t firstDiff = n;
@@ -268,6 +239,10 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
     out.bitIdentical = firstDiff == n &&
                        out.recorded.size() == out.variant.size();
     out.diverged = !out.bitIdentical;
+    // Every recorded record before the frontier must precede the
+    // first difference; this is where a misclassified knob shows.
+    out.reachHeld = firstDiff >= out.recorded.size() ||
+                    out.recorded[firstDiff].seq >= out.firstReachableSeq;
     if (out.diverged) {
         if (firstDiff < out.recorded.size())
             out.firstDivergentSeq = out.recorded[firstDiff].seq;
@@ -295,9 +270,8 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
                   return ax != ay ? ax > ay : x.first < y.first;
               });
 
-    // The spliced stream must be a coherent history, not just a
-    // concatenation: reenact it offline.
-    out.reenact = query::replayValidate(out.reconstructed);
+    // The variant must be a coherent history: reenact it offline.
+    out.reenact = query::replayValidate(out.variant);
 
     out.ok = true;
     return out;

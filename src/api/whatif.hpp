@@ -8,7 +8,7 @@
  * enforces:
  *
  *  1. **Determinism** — a RunConfig reproduces its provenance stream
- *     bit-for-bit (tests/unit/test_parallel_engine, test_trace), so
+ *     bit-for-bit (tests/unit/test_sharded_exec, test_trace), so
  *     "replay the run" is just `runOnce` again and divergence between
  *     the recorded and variant streams is attributable to the knob
  *     change alone.
@@ -18,14 +18,12 @@
  *     backoff policy only acts when a NACK or abort happens; the
  *     dependence graph of the recorded stream (trace/graph.hpp) names
  *     the first seq where any cross-attempt interaction exists, so
- *     every record before that frontier is *provably unreached* and
- *     the recorded prefix is reused verbatim instead of trusted to
- *     re-derive.
+ *     no record before that frontier may differ. The first
+ *     divergence is checked against the frontier, so a misclassified
+ *     knob shows up as a failed reach check.
  *
- * The reconstructed stream (reused recorded prefix + variant suffix)
- * is then validated offline (query/replay.hpp): it must reenact
- * cleanly, proving the splice is a coherent history and not just a
- * concatenation.
+ * The variant stream is then validated offline (query/replay.hpp): it
+ * must reenact cleanly.
  */
 
 #ifndef RETCON_API_WHATIF_HPP
@@ -46,7 +44,7 @@ namespace retcon::api {
  * strongest class among its knobs.
  */
 enum class ReachClass : std::uint8_t {
-    /** Host-side only (shards, hostThreads, memBanks without
+    /** Host-side only (shards, memBanks without
      *  occupancy): the simulated stream is bit-identical by
      *  contract, nothing is reachable. */
     Nothing,
@@ -88,7 +86,7 @@ ReachClass classifyKnob(const std::string &knob);
  *   shardBandwidth                                  -> Conflicts
  *   faultInjectRepairXor                            -> Repairs
  *   faultInjectForwardXor                           -> Forwards
- *   shards, memBanks, hostThreads                   -> Nothing
+ *   shards, memBanks                                -> Nothing
  *
  * @return false (cfg untouched) on unknown knob or unparseable value.
  */
@@ -100,25 +98,20 @@ struct WhatIfResult {
     bool ok = false;       ///< False: see error (bad knob, no trace).
     std::string error;
 
-    /** The two full streams and the spliced one. */
+    /** The two full streams. */
     std::vector<trace::Record> recorded;
     std::vector<trace::Record> variant;
-    std::vector<trace::Record> reconstructed;
 
     /** Reach classification of the change set. */
     ReachClass reach = ReachClass::Everything;
     /** First seq the change could reach (kSeqUnreached = none). */
     std::uint64_t firstReachableSeq = trace::kSeqUnreached;
-    /** Records of the recorded prefix reused verbatim. */
-    std::uint64_t prefixRecords = 0;
-    /** prefixRecords / recorded.size() (1.0 on an unreached change). */
-    double prefixReuse = 0.0;
     /**
-     * The reach proof, checked rather than assumed: the variant's
-     * first prefixRecords records must equal the reused prefix
-     * bit-for-bit. False would mean a knob was misclassified.
+     * The reach check, read off the divergence scan: no recorded
+     * record before firstReachableSeq differs from the variant's.
+     * False would mean a knob was misclassified.
      */
-    bool prefixProofHeld = true;
+    bool reachHeld = true;
 
     /** Recorded vs variant, record-by-record. */
     bool bitIdentical = false;
@@ -131,7 +124,7 @@ struct WhatIfResult {
      *  blocks whose counts differ, sorted by |delta| descending. */
     std::vector<std::pair<Addr, std::int64_t>> blockDeltas;
 
-    /** Offline reenactment of the reconstructed stream. */
+    /** Offline reenactment of the variant stream. */
     query::ReplayResult reenact;
 
     /** Full run outcomes for downstream comparison. */

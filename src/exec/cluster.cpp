@@ -78,14 +78,6 @@ Cluster::Cluster(const ClusterConfig &cfg)
     }
     if (cfg.traceSink)
         _tm->setTraceSink(cfg.traceSink);
-    if (cfg.hostThreads >= 2 && cfg.numShards >= 2) {
-        // A host-side execution choice only: the engine preserves the
-        // global (cycle, seq) dispatch order, so simulated results are
-        // bit-identical to the sequential run (docs/parallel-engine.md).
-        _engine = std::make_unique<ParallelEngine>(
-            _eq, std::min(cfg.hostThreads, cfg.numShards));
-        _eq.setEngine(_engine.get());
-    }
 }
 
 void

@@ -29,18 +29,8 @@
  * deterministic for a fixed configuration and the reenactment audit
  * holds with the scheduler engaged (tests/unit/test_contention.cpp).
  *
- * Threading contract (single writer per shard): observe(),
- * deferDelay() and noteRepairableSkip() mutate a shard's table and
- * stats with plain, unsynchronized accesses. Callers must guarantee
- * that at most one thread touches a given shard's entry points at a
- * time, with a happens-before edge between calls from different
- * threads. Both engines satisfy this by construction: the hooks fire
- * only from event callbacks, which the sequential engine runs on one
- * thread and the host-parallel engine serializes behind its migrating
- * dispatch token (docs/parallel-engine.md) — note that a core's
- * callback may run on a *stealing* shard's owner thread, so per-shard
- * affinity alone would NOT be a valid relaxation. Debug builds
- * enforce the contract with a per-shard serial-section assertion.
+ * Not thread-safe: the hooks fire only from event callbacks, which
+ * the event queue runs on one thread.
  */
 
 #ifndef RETCON_EXEC_SCHEDULER_HPP
@@ -50,7 +40,6 @@
 #include <vector>
 
 #include "htm/types.hpp"
-#include "sim/serial_guard.hpp"
 #include "sim/types.hpp"
 
 namespace retcon::exec {
@@ -127,7 +116,6 @@ class ContentionScheduler
     observe(unsigned shard, Addr key, Cycle now)
     {
         Shard &s = _shards[shard];
-        RETCON_SERIAL_SCOPE(s.serial, "ContentionScheduler::observe");
         ++s.stats.observed;
         Slot &slot = s.slots[slotOf(key)];
         if (slot.key != key) {
@@ -153,8 +141,6 @@ class ContentionScheduler
         if (key >= htm::kTokenBlameBase && !_cfg.deferTokenBlame)
             return 0;
         Shard &s = _shards[shard];
-        RETCON_SERIAL_SCOPE(s.serial,
-                            "ContentionScheduler::deferDelay");
         Slot &slot = s.slots[slotOf(key)];
         if (slot.key != key)
             return 0;
@@ -177,8 +163,6 @@ class ContentionScheduler
     noteRepairableSkip(unsigned shard)
     {
         Shard &s = _shards[shard];
-        RETCON_SERIAL_SCOPE(
-            s.serial, "ContentionScheduler::noteRepairableSkip");
         ++s.stats.repairableSkips;
         return 0;
     }
@@ -199,8 +183,6 @@ class ContentionScheduler
     struct Shard {
         std::vector<Slot> slots;
         Stats stats;
-        /// Debug-only single-writer enforcement (file header).
-        RETCON_SERIAL_SECTION(serial);
     };
 
     SchedulerConfig _cfg;

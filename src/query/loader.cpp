@@ -107,22 +107,6 @@ abortCauseFromName(const std::string &name, std::uint8_t &out)
     return false;
 }
 
-void
-splitCsv(const std::string &line, std::vector<std::string> &cols)
-{
-    cols.clear();
-    std::size_t start = 0;
-    while (true) {
-        std::size_t comma = line.find(',', start);
-        if (comma == std::string::npos) {
-            cols.push_back(line.substr(start));
-            return;
-        }
-        cols.push_back(line.substr(start, comma - start));
-        start = comma + 1;
-    }
-}
-
 } // namespace
 
 LoadResult
@@ -190,68 +174,6 @@ loadJson(std::istream &is)
 }
 
 LoadResult
-loadCsv(std::istream &is)
-{
-    LoadResult result;
-    std::string line;
-    std::size_t lineno = 0;
-    std::uint64_t prevSeq = 0;
-    std::vector<std::string> cols;
-    bool sawHeader = false;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        if (!sawHeader) {
-            if (line.rfind("cycle,core,kind,", 0) != 0)
-                return fail(lineno, "missing CSV header");
-            sawHeader = true;
-            continue;
-        }
-        splitCsv(line, cols);
-        // 13 columns is the pre-annotation schema; 14 the current one.
-        if (cols.size() < 13)
-            return fail(lineno, "expected >= 13 columns, got " +
-                                    std::to_string(cols.size()));
-        trace::Record r;
-        std::uint64_t v = 0;
-        if (!parseU64(cols[0], v))
-            return fail(lineno, "bad cycle");
-        r.cycle = v;
-        if (!parseU64(cols[1], v))
-            return fail(lineno, "bad core");
-        r.core = static_cast<CoreId>(v);
-        if (!trace::eventKindFromName(cols[2].c_str(), r.kind))
-            return fail(lineno, "unknown kind '" + cols[2] + "'");
-        if (!parseU64(cols[3], r.addr) || !parseU64(cols[4], r.a) ||
-            !parseU64(cols[5], r.b))
-            return fail(lineno, "bad addr/a/b");
-        if (!cols[6].empty() || !cols[7].empty()) {
-            if (!parseU64(cols[6], r.sym.root) ||
-                !parseI64(cols[7], r.sym.delta))
-                return fail(lineno, "malformed sym columns");
-            r.hasSym = true;
-        }
-        if (!trace::cmpOpFromName(cols[8].c_str(), r.cmp))
-            return fail(lineno, "unknown cmp '" + cols[8] + "'");
-        if (!parseU64(cols[9], v) || v > 0xFF)
-            return fail(lineno, "bad aux");
-        r.aux = static_cast<std::uint8_t>(v);
-        if (!parseU64(cols[10], r.seq))
-            return fail(lineno, "bad seq");
-        if (!parseU64(cols[12], r.vid))
-            return fail(lineno, "bad vid");
-        if (r.seq <= prevSeq)
-            return fail(lineno, "seq order violated");
-        prevSeq = r.seq;
-        result.records.push_back(r);
-    }
-    if (!sawHeader)
-        return fail(lineno, "empty CSV trace");
-    return result;
-}
-
-LoadResult
 loadBinary(const std::string &path)
 {
     LoadResult result;
@@ -295,13 +217,9 @@ loadTraceFile(const std::string &path)
     }
     if (first == '{')
         return loadJson(is);
-    if (first == 'c')
-        return loadCsv(is);
     LoadResult r;
     r.ok = false;
-    r.error = path +
-              ": neither .rtt binary, JSON Lines, nor CSV trace "
-              "content";
+    r.error = path + ": neither .rtt binary nor JSON Lines trace content";
     return r;
 }
 

@@ -1,14 +1,12 @@
 /**
  * @file
  * Offline trace loader: parse a recorded provenance stream back into
- * trace::Record form, from either export format (docs/trace-format.md):
- *
- *  - **JSON Lines** (`exportJson*`): one object per line. The
- *    per-kind decodes re-encode losslessly — `cause` names map back
- *    to the aux byte, `datm_forwarded` back to the commit flag bit,
- *    `annotation` is the mark's `a` value it was decoded from.
- *  - **CSV** (`exportCsv*`): one row per record; the `aux` column is
- *    raw, so the round trip is field-exact by construction.
+ * trace::Record form, from JSON Lines (`exportJson*`,
+ * docs/trace-format.md) or the framed binary .rtt stream
+ * (docs/streaming.md). JSON Lines holds one object per line; the
+ * per-kind decodes re-encode losslessly — `cause` names map back to
+ * the aux byte, `datm_forwarded` back to the commit flag bit,
+ * `annotation` is the mark's `a` value it was decoded from.
  *
  * Loading is strict: any unparsable line, unknown kind/operator/cause
  * name, or seq-order violation (exports of a merged snapshot are
@@ -39,12 +37,9 @@ struct LoadResult {
 /** Parse JSON Lines export output. */
 LoadResult loadJson(std::istream &is);
 
-/** Parse CSV export output (header row required). */
-LoadResult loadCsv(std::istream &is);
-
 /**
  * Parse a framed binary .rtt stream (docs/streaming.md). Strict like
- * the text loaders: the first checksum, seq-order, seq-gap (dense
+ * the JSON loader: the first checksum, seq-order, seq-gap (dense
  * streams), truncation, or payload fault fails the load with an
  * offset-precise diagnostic instead of yielding a partial stream.
  */
@@ -53,8 +48,8 @@ LoadResult loadBinary(const std::string &path);
 /**
  * Load a trace file, dispatching on content: a first byte of 'R' is
  * the .rtt binary magic, a first line starting with '{' is JSON
- * Lines, a `cycle,core,...` header is CSV. Fails (ok = false) on
- * unreadable files or unrecognizable content.
+ * Lines. Fails (ok = false) on unreadable files or unrecognizable
+ * content.
  */
 LoadResult loadTraceFile(const std::string &path);
 

@@ -28,11 +28,10 @@
  *
  * Determinism contract (docs/scenarios.md): every scenario effect is
  * a pure function of simulated state — (seed, cycle, core id, block
- * address) — never of host threading, shard assignment, or bank
- * count. That keeps every scenario bit-identical across hostThreads,
- * shard counts, and (occupancy unmodeled) bank counts, exactly like
- * an unscenario'd run, and lets every scenario run under the full
- * reenactment audit.
+ * address) — never of shard assignment or bank count. That keeps
+ * every scenario bit-identical across shard counts and (occupancy
+ * unmodeled) bank counts, exactly like an unscenario'd run, and lets
+ * every scenario run under the full reenactment audit.
  */
 
 #ifndef RETCON_SCENARIO_SCENARIO_HPP

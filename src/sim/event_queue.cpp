@@ -22,16 +22,6 @@ EventQueue::scheduleSeq(Cycle when, std::uint64_t seq, Callback cb)
     return EventHandle{id};
 }
 
-EventHandle
-EventQueue::scheduleSeqId(Cycle when, std::uint64_t seq, std::uint64_t id,
-                          Callback cb)
-{
-    sim_assert(when >= _now, "scheduling into the past");
-    _heap.push(Entry{when, seq, id, std::move(cb)});
-    ++_live;
-    return EventHandle{id};
-}
-
 bool
 EventQueue::peekNext(Cycle &when, std::uint64_t &seq)
 {

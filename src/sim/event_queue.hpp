@@ -66,17 +66,6 @@ class EventQueue : public SimClock
     EventHandle scheduleSeq(Cycle when, std::uint64_t seq, Callback cb);
 
     /**
-     * Schedule with caller-supplied sequence number AND event id,
-     * leaving this queue's own id counter untouched. The host-parallel
-     * engine (sim/parallel_engine.hpp) fabricates handles for
-     * cross-shard schedules before the owning worker has applied them,
-     * so the id must be chosen by the sender; engine ids live in a
-     * disjoint range far above any per-shard allocation.
-     */
-    EventHandle scheduleSeqId(Cycle when, std::uint64_t seq,
-                              std::uint64_t id, Callback cb);
-
-    /**
      * Peek at the next live event without running it (prunes cancelled
      * entries from the heap top). @return false when drained.
      */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace retcon {
 
@@ -38,11 +37,6 @@ ShardedEventQueue::schedule(unsigned shard, Cycle when, Callback cb)
 {
     sim_assert(shard < _cfg.nshards, "shard %u out of range", shard);
     sim_assert(when >= _now, "scheduling into the global past");
-    // Under an active parallel engine, only the dispatch-token holder
-    // executes callbacks (and therefore schedules); operations on a
-    // foreign worker's shard travel through its mailbox.
-    if (_engine && _engine->active())
-        return _engine->routeSchedule(shard, when, std::move(cb));
     EventHandle h =
         _shards[shard]->scheduleSeq(when, _nextSeq++, std::move(cb));
     sim_assert(h.id <= kIdMask, "per-shard event ids exhausted");
@@ -58,8 +52,6 @@ ShardedEventQueue::cancel(EventHandle h)
         return;
     auto shard = static_cast<unsigned>(h.id >> kShardShift);
     sim_assert(shard < _cfg.nshards, "cancel of a foreign handle");
-    if (_engine && _engine->active())
-        return _engine->routeCancel(h);
     _shards[shard]->cancel(EventHandle{h.id & kIdMask});
 }
 
@@ -100,12 +92,59 @@ ShardedEventQueue::findEarliest(Cycle &when, std::uint64_t &seq)
 }
 
 int
-ShardedEventQueue::pickExecutor(unsigned home, Cycle when)
+ShardedEventQueue::executorFor(unsigned home, Cycle when)
 {
-    return pickExecutorT(home, when,
-                         [this](unsigned t, Cycle &w, std::uint64_t &q) {
-                             return _shards[t]->peekNext(w, q);
-                         });
+    unsigned bw = _cfg.dispatchBandwidth;
+    if (bw == 0 || _dispatched[home] < bw)
+        return static_cast<int>(home);
+    if (!_cfg.workStealing || _cfg.nshards == 1)
+        return -1;
+    // Work-stealing fallback: a shard with no event due this cycle and
+    // spare dispatch slots drains the busy shard. The rotating cursor
+    // spreads steals across idle shards deterministically. Candidates
+    // come from the home shard's steal group only — the whole machine
+    // by default, the home cluster's shards in a fleet.
+    unsigned group = _cfg.stealGroup ? _cfg.stealGroup : _cfg.nshards;
+    unsigned base = (home / group) * group;
+    for (unsigned probe = 0; probe < group; ++probe) {
+        unsigned t = base + (_stealCursor + probe) % group;
+        if (t == home || t >= _cfg.nshards || _dispatched[t] >= bw)
+            continue;
+        Cycle w;
+        std::uint64_t q;
+        if (_shards[t]->peekNext(w, q) && w <= when)
+            continue; // Busy itself this cycle; not a thief.
+        _stealCursor = (t + 1) % group;
+        ++_stats[t].stolen;
+        return static_cast<int>(t);
+    }
+    return -1;
+}
+
+bool
+ShardedEventQueue::dispatchAt(unsigned home, Cycle when)
+{
+    if (when != _dispatchCycle) {
+        // Clock advances: all dispatch slots refill.
+        _dispatchCycle = when;
+        std::fill(_dispatched.begin(), _dispatched.end(), 0u);
+    }
+    int exec = executorFor(home, when);
+    if (exec < 0) {
+        // All slots this cycle are spoken for: the event slips.
+        _shards[home]->deferNext(when + 1);
+        ++_stats[home].deferred;
+        return false;
+    }
+    ++_dispatched[exec];
+    ++_stats[home].drained;
+    ++_stats[exec].executed;
+    ++_executed;
+    _now = when;
+    // Runs the peeked event: it is its shard's earliest, and advances
+    // that shard's local clock domain.
+    _shards[home]->step();
+    return true;
 }
 
 bool
@@ -118,10 +157,7 @@ ShardedEventQueue::step(Cycle maxCycles)
         if (home < 0 || when > maxCycles)
             return false;
 
-        if (dispatchAt(static_cast<unsigned>(home), when,
-                       [this](unsigned t, Cycle &w, std::uint64_t &q) {
-                           return _shards[t]->peekNext(w, q);
-                       }))
+        if (dispatchAt(static_cast<unsigned>(home), when))
             return true;
     }
 }
@@ -129,8 +165,6 @@ ShardedEventQueue::step(Cycle maxCycles)
 Cycle
 ShardedEventQueue::run(Cycle maxCycles)
 {
-    if (_engine)
-        return _engine->run(maxCycles);
     while (step(maxCycles)) {
     }
     return _now;

@@ -38,8 +38,6 @@
 
 namespace retcon {
 
-class ParallelEngine;
-
 /** Sharded-queue configuration. */
 struct ShardedQueueConfig {
     unsigned nshards = 1;
@@ -130,17 +128,7 @@ class ShardedEventQueue final : public SimClock
 
     const ShardStats &shardStats(unsigned shard) const;
 
-    /**
-     * Attach a host-parallel engine (non-owning; may be null). While
-     * the engine is active, run() delegates to it and schedule()/
-     * cancel() route cross-shard operations through its mailboxes; the
-     * engine preserves the global (cycle, seq) dispatch order, so
-     * simulated results stay bit-identical (sim/parallel_engine.hpp).
-     */
-    void setEngine(ParallelEngine *engine) { _engine = engine; }
-
   private:
-    friend class ParallelEngine;
     ShardedQueueConfig _cfg;
     /// unique_ptr because EventQueue is non-movable (owns a heap).
     std::vector<std::unique_ptr<EventQueue>> _shards;
@@ -160,8 +148,6 @@ class ShardedEventQueue final : public SimClock
     static constexpr std::uint64_t kIdMask =
         (std::uint64_t(1) << kShardShift) - 1;
 
-    ParallelEngine *_engine = nullptr;
-
     /** Find the shard holding the globally earliest live event. */
     int findEarliest(Cycle &when, std::uint64_t &seq);
 
@@ -169,82 +155,16 @@ class ShardedEventQueue final : public SimClock
      * Pick the shard that dispatches an event due at @p when homed on
      * @p home: the home shard if it has bandwidth, else an idle shard
      * with spare slots (work stealing), else -1 (the event must slip).
-     *
-     * Templated over the next-due probe so the sequential engine
-     * (peekNext on each shard heap) and the host-parallel engine
-     * (published horizons for foreign shards) run the exact same
-     * decision procedure — the steal/slip choices that shape simulated
-     * timing cannot diverge between the two.
      */
-    template <class NextDue>
-    int
-    pickExecutorT(unsigned home, Cycle when, NextDue &&nextDue)
-    {
-        unsigned bw = _cfg.dispatchBandwidth;
-        if (bw == 0 || _dispatched[home] < bw)
-            return static_cast<int>(home);
-        if (!_cfg.workStealing || _cfg.nshards == 1)
-            return -1;
-        // Work-stealing fallback: a shard with no event due this cycle
-        // and spare dispatch slots drains the busy shard. The rotating
-        // cursor spreads steals across idle shards deterministically.
-        // Candidates come from the home shard's steal group only — the
-        // whole machine by default, the home cluster's shards in a
-        // fleet.
-        unsigned group = _cfg.stealGroup ? _cfg.stealGroup : _cfg.nshards;
-        unsigned base = (home / group) * group;
-        for (unsigned probe = 0; probe < group; ++probe) {
-            unsigned t = base + (_stealCursor + probe) % group;
-            if (t == home || t >= _cfg.nshards || _dispatched[t] >= bw)
-                continue;
-            Cycle w;
-            std::uint64_t q;
-            bool has = nextDue(t, w, q);
-            if (has && w <= when)
-                continue; // Busy itself this cycle; not a thief.
-            _stealCursor = (t + 1) % group;
-            ++_stats[t].stolen;
-            return static_cast<int>(t);
-        }
-        return -1;
-    }
-
-    int pickExecutor(unsigned home, Cycle when);
+    int executorFor(unsigned home, Cycle when);
 
     /**
-     * Dispatch the event (@p when, @p seq) homed on @p home: refill
+     * Dispatch the event due at @p when homed on @p home: refill
      * per-cycle slots on a clock advance, pick an executor, and either
-     * run the event or slip it one cycle. Shared between run() and the
-     * parallel engine so both make identical slip decisions.
+     * run the event or slip it one cycle.
      * @return true when the event ran, false when it slipped.
      */
-    template <class NextDue>
-    bool
-    dispatchAt(unsigned home, Cycle when, NextDue &&nextDue)
-    {
-        if (when != _dispatchCycle) {
-            // Clock advances: all dispatch slots refill.
-            _dispatchCycle = when;
-            std::fill(_dispatched.begin(), _dispatched.end(), 0u);
-        }
-        int exec =
-            pickExecutorT(home, when, std::forward<NextDue>(nextDue));
-        if (exec < 0) {
-            // All slots this cycle are spoken for: the event slips.
-            _shards[home]->deferNext(when + 1);
-            ++_stats[home].deferred;
-            return false;
-        }
-        ++_dispatched[exec];
-        ++_stats[home].drained;
-        ++_stats[exec].executed;
-        ++_executed;
-        _now = when;
-        // Runs the peeked event: it is its shard's earliest, and
-        // advances that shard's local clock domain.
-        _shards[home]->step();
-        return true;
-    }
+    bool dispatchAt(unsigned home, Cycle when);
 };
 
 /**

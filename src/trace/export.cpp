@@ -81,35 +81,6 @@ writeJsonRecord(const Record &r, std::ostream &os)
     os << "}";
 }
 
-void
-writeCsvRecord(const Record &r, std::ostream &os)
-{
-    os << r.cycle << ',' << r.core << ',' << eventKindName(r.kind) << ','
-       << r.addr << ',' << r.a << ',' << r.b << ',';
-    if (r.hasSym)
-        os << r.sym.root << ',' << r.sym.delta;
-    else
-        os << ',';
-    os << ',' << cmpOpName(r.cmp) << ',' << static_cast<unsigned>(r.aux)
-       << ',' << r.seq << ','
-       << (r.kind == EventKind::Commit &&
-                   (r.aux & kCommitAuxDatmForwarded)
-               ? 1
-               : 0)
-       << ',' << r.vid << ',';
-    // CSV parity with the JSON `annotation` decode: the mark id of a
-    // `mark` record, empty for every other kind.
-    if (r.kind == EventKind::UserMark)
-        os << r.a;
-}
-
-const char *
-csvHeader()
-{
-    return "cycle,core,kind,addr,a,b,sym_root,sym_delta,cmp,aux,seq,"
-           "datm_forwarded,vid,annotation";
-}
-
 std::size_t
 exportJson(const TraceRecorder &rec, std::ostream &os)
 {
@@ -132,40 +103,16 @@ exportJson(const std::vector<Record> &recs, std::ostream &os)
     return recs.size();
 }
 
-std::size_t
-exportCsv(const TraceRecorder &rec, std::ostream &os)
-{
-    os << csvHeader() << '\n';
-    std::size_t n = 0;
-    rec.forEach([&](const Record &r) {
-        writeCsvRecord(r, os);
-        os << '\n';
-        ++n;
-    });
-    return n;
-}
-
-std::size_t
-exportCsv(const std::vector<Record> &recs, std::ostream &os)
-{
-    os << csvHeader() << '\n';
-    for (const Record &r : recs) {
-        writeCsvRecord(r, os);
-        os << '\n';
-    }
-    return recs.size();
-}
-
 namespace {
 
-template <typename Source, typename Fn>
+template <typename Source>
 std::size_t
-exportToFile(const Source &src, const std::string &path, Fn fn)
+exportJsonToFile(const Source &src, const std::string &path)
 {
     std::ofstream os(path);
     if (!os)
         fatal("cannot open trace export file %s", path.c_str());
-    return fn(src, os);
+    return exportJson(src, os);
 }
 
 } // namespace
@@ -173,37 +120,13 @@ exportToFile(const Source &src, const std::string &path, Fn fn)
 std::size_t
 exportJsonFile(const TraceRecorder &rec, const std::string &path)
 {
-    return exportToFile(rec, path, [](const TraceRecorder &r,
-                                      std::ostream &os) {
-        return exportJson(r, os);
-    });
+    return exportJsonToFile(rec, path);
 }
 
 std::size_t
 exportJsonFile(const std::vector<Record> &recs, const std::string &path)
 {
-    return exportToFile(recs, path, [](const std::vector<Record> &r,
-                                       std::ostream &os) {
-        return exportJson(r, os);
-    });
-}
-
-std::size_t
-exportCsvFile(const TraceRecorder &rec, const std::string &path)
-{
-    return exportToFile(rec, path, [](const TraceRecorder &r,
-                                      std::ostream &os) {
-        return exportCsv(r, os);
-    });
-}
-
-std::size_t
-exportCsvFile(const std::vector<Record> &recs, const std::string &path)
-{
-    return exportToFile(recs, path, [](const std::vector<Record> &r,
-                                       std::ostream &os) {
-        return exportCsv(r, os);
-    });
+    return exportJsonToFile(recs, path);
 }
 
 } // namespace retcon::trace

@@ -1,13 +1,12 @@
 /**
  * @file
- * Offline trace export: serialize provenance records as JSON Lines or
- * CSV for analysis outside the simulator (timeline reconstruction,
+ * Offline trace export: serialize provenance records as JSON Lines
+ * for analysis outside the simulator (timeline reconstruction,
  * per-address conflict studies, repair audits). The field-by-field
  * schema is documented in docs/trace-format.md.
  *
  * JSON Lines (one object per line) is chosen over a single array so
- * multi-gigabyte traces stream through line-oriented tools; the CSV
- * schema is flat with one column per Record field.
+ * multi-gigabyte traces stream through line-oriented tools.
  *
  * Sources: a single TraceRecorder's retained ring, or any
  * vector<Record> — e.g. ShardMux::mergedSnapshot(), the globally
@@ -38,12 +37,6 @@ bool cmpOpFromName(const char *name, rtc::CmpOp &out);
 /** Serialize one record as a single JSON object (no newline). */
 void writeJsonRecord(const Record &r, std::ostream &os);
 
-/** Serialize one record as a CSV row (no newline). */
-void writeCsvRecord(const Record &r, std::ostream &os);
-
-/** The CSV header row matching writeCsvRecord (no newline). */
-const char *csvHeader();
-
 /**
  * Window a record stream on the machine-global `seq` key: keep
  * records with seq_min <= seq < seq_max. A bound of 0 means
@@ -61,19 +54,11 @@ std::vector<Record> seqWindow(const std::vector<Record> &recs,
 std::size_t exportJson(const TraceRecorder &rec, std::ostream &os);
 std::size_t exportJson(const std::vector<Record> &recs, std::ostream &os);
 
-/** Stream retained records as CSV (with header). @return records. */
-std::size_t exportCsv(const TraceRecorder &rec, std::ostream &os);
-std::size_t exportCsv(const std::vector<Record> &recs, std::ostream &os);
-
 /** Write to a file; fatal()s when the file cannot be opened. */
 std::size_t exportJsonFile(const TraceRecorder &rec,
                            const std::string &path);
 std::size_t exportJsonFile(const std::vector<Record> &recs,
                            const std::string &path);
-std::size_t exportCsvFile(const TraceRecorder &rec,
-                          const std::string &path);
-std::size_t exportCsvFile(const std::vector<Record> &recs,
-                          const std::string &path);
 
 } // namespace retcon::trace
 

@@ -128,17 +128,4 @@ buildDepGraph(const std::vector<Record> &recs)
     return g;
 }
 
-std::vector<Record>
-reusablePrefix(const std::vector<Record> &recs,
-               std::uint64_t first_reachable_seq)
-{
-    std::vector<Record> out;
-    for (const Record &r : recs) {
-        if (r.seq >= first_reachable_seq)
-            break;
-        out.push_back(r);
-    }
-    return out;
-}
-
 } // namespace retcon::trace

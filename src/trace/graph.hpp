@@ -95,15 +95,6 @@ struct DepGraph {
  */
 DepGraph buildDepGraph(const std::vector<Record> &recs);
 
-/**
- * The provably-unreached prefix of @p recs for a change whose first
- * reachable record is @p first_reachable_seq: every record with
- * seq < first_reachable_seq, copied in order. Pass kSeqUnreached to
- * reuse the whole stream.
- */
-std::vector<Record> reusablePrefix(const std::vector<Record> &recs,
-                                   std::uint64_t first_reachable_seq);
-
 } // namespace retcon::trace
 
 #endif // RETCON_TRACE_GRAPH_HPP

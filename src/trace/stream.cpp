@@ -184,7 +184,7 @@ decodePayload(const unsigned char *p, Record &out)
     out.hasSym = (p[kOffFlags] & kPayloadFlagHasSym) != 0;
     out.cmp = static_cast<rtc::CmpOp>(p[kOffCmp]);
     out.aux = p[kOffAux];
-    // The same per-kind strictness as the JSON/CSV loaders: an abort
+    // The same per-kind strictness as the JSON loader: an abort
     // record must name a real cause.
     if (out.kind == EventKind::Abort &&
         out.aux > static_cast<std::uint8_t>(htm::AbortCause::Zombie))

@@ -221,7 +221,7 @@ class StreamReader
 
 /**
  * Export @p recs as one .rtt stream (the binary sibling of
- * exportJsonFile/exportCsvFile). The dense header flag is set when
+ * exportJsonFile). The dense header flag is set when
  * the records' seqs are actually consecutive — true for a complete
  * capture, false for a windowed or wrapped snapshot.
  * @return records written.

@@ -52,12 +52,9 @@
 //   --xc-fraction F  fraction of service requests routed to a remote
 //                 cluster's state (default 0.25 when --clusters > 1;
 //                 ignored at one cluster).
-//   --host-threads N  drive the sweep on N host threads: independent
-//                 sweep cells (each a full api::runOnce) run on an
-//                 N-thread pool, and each run's own event loop uses the
-//                 host-parallel engine (RunConfig::hostThreads = N).
-//                 Purely host-side: every number printed is
-//                 bit-identical for any N (docs/parallel-engine.md);
+//   --host-threads N  run the sweep's independent cells (each a full
+//                 api::runOnce) on an N-thread pool. Purely host-side:
+//                 every number printed is bit-identical for any N;
 //                 only the wall-ms column and the sweep wall line
 //                 change. Output is buffered per row and printed in
 //                 canonical workload order.
@@ -424,10 +421,6 @@ main(int argc, char **argv)
     if (backoff != htm::BackoffPolicy::None)
         std::printf("retry backoff: %s\n",
                     htm::backoffPolicyName(backoff));
-    if (host_threads > 1)
-        std::printf("host-parallel: %u threads (cell pool + per-run "
-                    "engine)\n",
-                    host_threads);
     if (trace_out)
         std::printf("trace stream: %s_<workload>_<config>.rtt, "
                     "windowed re-validation%s\n",
@@ -477,7 +470,6 @@ main(int argc, char **argv)
         base.memBanks = banks;
         base.clusters = clusters;
         base.crossClusterFraction = xc_fraction;
-        base.hostThreads = host_threads;
         base.trace.enabled = audit;
         base.trace.ringCapacity = 0; // Audit only; no event retention.
         base.annotatePhases = annotate_phases;
@@ -491,7 +483,8 @@ main(int argc, char **argv)
         for (std::size_t k = 0; k < configs.size(); ++k) {
             Cell &cell = row.cells[k];
             if (configs[k].tm.mode == htm::TMMode::DATM &&
-                !api::datmSupported(base.workload, scale, clusters)) {
+                !api::datmSupported(base.workload, scale,
+                                    nthreads * clusters, clusters)) {
                 cell.supported = false;
                 continue;
             }
@@ -709,6 +702,15 @@ main(int argc, char **argv)
         appendf(line, " | %10llu | %8.1f | %s\n",
                 (unsigned long long)backoff_cycles, row_wall_ms,
                 ok ? "yes" : "NO");
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            if (row.cells[k].supported)
+                continue;
+            // Only listed workloads can fall outside the envelope.
+            const api::DatmEnvelopeEntry *e =
+                api::datmEnvelopeRow(scenario_arg ? "service" : row.name);
+            appendf(line, "  %s: outside the DATM envelope (%s)\n",
+                    configs[k].label, e->reason);
+        }
         std::fputs(line.c_str(), stdout);
         if (!scen_note.empty())
             std::fputs(scen_note.c_str(), stdout);

@@ -274,17 +274,12 @@ TEST(QueryLoader, RoundTripThenCorruptionIsRejected)
         EXPECT_FALSE(r.ok);
     }
 
-    // CSV: a malformed row fails with its line number.
+    // A malformed line fails with its line number.
     {
-        std::ostringstream csv;
-        trace::exportCsv(recs, csv);
-        std::string bad = csv.str();
-        std::size_t hdr = bad.find('\n');
-        std::size_t row = bad.find('\n', hdr + 1);
-        ASSERT_NE(row, std::string::npos);
-        bad.insert(hdr + 1, "not,a,row\n");
+        std::string bad = json.str();
+        bad.insert(bad.find('\n') + 1, "{not a record}\n");
         std::istringstream in(bad);
-        query::LoadResult r = query::loadCsv(in);
+        query::LoadResult r = query::loadJson(in);
         EXPECT_FALSE(r.ok);
         EXPECT_NE(r.error.find("line 2"), std::string::npos);
     }
@@ -294,19 +289,18 @@ TEST(QueryLoader, RoundTripThenCorruptionIsRejected)
 // What-if reenactment
 // ---------------------------------------------------------------------
 
-TEST(WhatIf, NoChangeIsBitIdenticalWithFullPrefixReuse)
+TEST(WhatIf, NoChangeIsBitIdenticalAndReachHolds)
 {
     api::WhatIfResult w = api::runWhatIf(whatIfBase(), {});
     ASSERT_TRUE(w.ok) << w.error;
     EXPECT_EQ(w.reach, api::ReachClass::Nothing);
+    EXPECT_EQ(w.firstReachableSeq, trace::kSeqUnreached);
     EXPECT_TRUE(w.bitIdentical);
     EXPECT_FALSE(w.diverged);
-    EXPECT_DOUBLE_EQ(w.prefixReuse, 1.0);
-    EXPECT_EQ(w.prefixRecords, w.recorded.size());
-    EXPECT_TRUE(w.prefixProofHeld);
+    EXPECT_TRUE(w.reachHeld);
     EXPECT_TRUE(w.blockDeltas.empty());
-    // The reconstructed stream is the recorded one, and it reenacts.
-    ASSERT_EQ(w.reconstructed.size(), w.recorded.size());
+    // The variant is the recorded stream, and it reenacts.
+    ASSERT_EQ(w.variant.size(), w.recorded.size());
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
 }
 
@@ -319,14 +313,15 @@ TEST(WhatIf, ConflictKnobDivergesAtOrAfterTheFrontier)
     // The contended service recording must have a frontier, else the
     // soundness claim below is vacuous.
     ASSERT_NE(w.firstReachableSeq, trace::kSeqUnreached);
-    EXPECT_GT(w.prefixRecords, 0u);
-    EXPECT_LT(w.prefixReuse, 1.0);
+    EXPECT_GT(w.firstReachableSeq, w.recorded.front().seq);
+    EXPECT_LE(w.firstReachableSeq, w.recorded.back().seq);
     // Reach soundness: backoff only acts where attempts interact, so
     // nothing before the first-interaction frontier may move.
-    EXPECT_TRUE(w.prefixProofHeld);
-    if (w.diverged)
+    EXPECT_TRUE(w.reachHeld);
+    if (w.diverged) {
         EXPECT_GE(w.firstDivergentSeq, w.firstReachableSeq);
-    // The spliced prefix+suffix stream is a coherent history.
+    }
+    // The variant stream is a coherent history.
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
     // Both runs were real, audited runs.
     EXPECT_TRUE(w.baseResult.validation.ok);
@@ -341,12 +336,28 @@ TEST(WhatIf, EverythingClassKnobReachesTheWholeStream)
         api::runWhatIf(whatIfBase(), {{"seed", "2"}});
     ASSERT_TRUE(w.ok) << w.error;
     EXPECT_EQ(w.reach, api::ReachClass::Everything);
-    // Everything is reachable: no prefix can be reused...
-    EXPECT_EQ(w.prefixRecords, 0u);
+    // Everything is reachable from the first record...
+    EXPECT_EQ(w.firstReachableSeq, w.recorded.front().seq);
+    EXPECT_TRUE(w.reachHeld);
     // ...and a different seed genuinely diverges.
     EXPECT_TRUE(w.diverged);
     EXPECT_GE(w.firstDivergentSeq, w.recorded.front().seq);
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
+}
+
+TEST(WhatIf, MisclassifiedKnobFailsTheReachCheck)
+{
+    // memBanks is classed Nothing because bank count is transparent
+    // while bank occupancy is unmodeled. With occupancy modeled, the
+    // bank count changes timing, so the class is wrong for this base
+    // and the reach check must say so — the negative control.
+    api::RunConfig base = whatIfBase();
+    base.memBankOccupancy = 8;
+    api::WhatIfResult w = api::runWhatIf(base, {{"memBanks", "4"}});
+    ASSERT_TRUE(w.ok) << w.error;
+    EXPECT_EQ(w.reach, api::ReachClass::Nothing);
+    EXPECT_TRUE(w.diverged);
+    EXPECT_FALSE(w.reachHeld);
 }
 
 TEST(WhatIf, BadKnobIsRejected)

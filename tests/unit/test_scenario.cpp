@@ -3,8 +3,8 @@
  * Scenario registry + differential scenario-grid suite.
  *
  * Every registered scenario must behave like any other run under the
- * repo's core contracts: bit-identical results across host-thread and
- * shard counts, audit-clean under the reenactment oracle (zero skipped
+ * repo's core contracts: bit-identical results across shard counts,
+ * audit-clean under the reenactment oracle (zero skipped
  * DATM forwarding chains), and a conserving arrival ledger
  * (injected == completed + dropped). The suite also pins the DATM
  * support envelope table (api/datm_envelope.hpp) and proves the
@@ -136,32 +136,23 @@ TEST(ScenarioRegistry, PlansAreDeterministicInTheSeed)
 }
 
 /**
- * The tentpole contract: for every registered scenario, the simulated
- * outcome — cycles, validation, audit counters, and the scenario
- * ledger itself — is bit-identical across host-thread counts {1, 4}
- * and shard counts {1, 4}, and every variant is audit-clean.
+ * The determinism contract: for every registered scenario, the
+ * simulated outcome — cycles, validation, audit counters, and the
+ * scenario ledger itself — is bit-identical across shard counts
+ * {1, 4}, and every variant is audit-clean.
  */
-TEST(ScenarioGrid, BitIdenticalAcrossHostThreadsAndShards)
+TEST(ScenarioGrid, BitIdenticalAcrossShards)
 {
     for (const scenario::Scenario &s : scenario::registry()) {
         api::RunConfig base = scenarioConfig(s.name);
         api::RunResult ref = runClean(base, s.name);
-        const std::uint64_t refFp = fingerprint(ref);
 
-        struct Variant {
-            unsigned hostThreads, shards;
-        } variants[] = {{1, 4}, {4, 4}};
-        for (const Variant &v : variants) {
-            api::RunConfig cfg = base;
-            cfg.hostThreads = v.hostThreads;
-            cfg.shards = v.shards;
-            std::string tag = std::string(s.name) + " ht" +
-                              std::to_string(v.hostThreads) + "/s" +
-                              std::to_string(v.shards);
-            api::RunResult r = runClean(cfg, tag);
-            EXPECT_EQ(fingerprint(r), refFp)
-                << tag << " diverged from ht0/s1";
-        }
+        api::RunConfig cfg = base;
+        cfg.shards = 4;
+        std::string tag = std::string(s.name) + " s4";
+        api::RunResult r = runClean(cfg, tag);
+        EXPECT_EQ(fingerprint(r), fingerprint(ref))
+            << tag << " diverged from s1";
     }
 }
 
@@ -261,24 +252,60 @@ TEST(ScenarioGrid, LinkDegradeEngagesOnAFleet)
 TEST(DatmEnvelope, TableIsPinned)
 {
     const auto &rows = api::datmEnvelope();
-    ASSERT_EQ(rows.size(), 4u);
+    ASSERT_EQ(rows.size(), 5u);
     for (const api::DatmEnvelopeEntry &e : rows)
         EXPECT_FALSE(std::string(e.reason).empty()) << e.workload;
 
-    EXPECT_FALSE(api::datmSupported("python", 0.01, 1));
-    EXPECT_FALSE(api::datmSupported("python_opt", 0.01, 1));
-    EXPECT_TRUE(api::datmSupported("intruder", 0.25, 1));
-    EXPECT_FALSE(api::datmSupported("intruder", 0.3, 1));
-    EXPECT_FALSE(api::datmSupported("intruder", 0.1, 2));
-    EXPECT_TRUE(api::datmSupported("yada", 0.1, 1));
-    EXPECT_FALSE(api::datmSupported("yada", 0.2, 1));
-    EXPECT_TRUE(api::datmSupported("service", 0.75, 1));
-    EXPECT_FALSE(api::datmSupported("service", 0.8, 1));
-    EXPECT_TRUE(api::datmSupported("service", 0.5, 2))
-        << "service is fleet-supported inside its scale bound";
-    // Unlisted workloads are fully supported.
-    EXPECT_TRUE(api::datmSupported("genome", 1.0, 4));
-    EXPECT_TRUE(api::datmSupported("kmeans", 1.0, 1));
+    for (unsigned n : {4u, 8u, 16u, 32u}) {
+        SCOPED_TRACE(std::to_string(n) + " threads");
+        EXPECT_FALSE(api::datmSupported("python", 0.01, n, 1));
+        EXPECT_FALSE(api::datmSupported("python_opt", 0.01, n, 1));
+        // Intruder's retry storm panics beyond 8 threads at every
+        // scale; its _opt variants converge at every thread count.
+        EXPECT_EQ(api::datmSupported("intruder", 0.05, n, 1), n <= 8);
+        EXPECT_EQ(api::datmSupported("intruder", 0.25, n, 1), n <= 8);
+        EXPECT_FALSE(api::datmSupported("intruder", 0.3, n, 1));
+        EXPECT_FALSE(api::datmSupported("intruder", 0.1, n, 2));
+        EXPECT_TRUE(api::datmSupported("intruder_opt", 0.25, n, 1));
+        EXPECT_TRUE(api::datmSupported("intruder_opt-sz", 0.25, n, 1));
+        EXPECT_FALSE(api::datmSupported("intruder_opt", 0.3, n, 1));
+        EXPECT_TRUE(api::datmSupported("yada", 0.1, n, 1));
+        EXPECT_FALSE(api::datmSupported("yada", 0.2, n, 1));
+        EXPECT_TRUE(api::datmSupported("service", 0.75, n, 1));
+        EXPECT_FALSE(api::datmSupported("service", 0.8, n, 1));
+        EXPECT_TRUE(api::datmSupported("service", 0.5, 2 * n, 2))
+            << "service is fleet-supported inside its scale bound";
+        // Unlisted workloads are fully supported.
+        EXPECT_TRUE(api::datmSupported("genome", 1.0, n, 4));
+        EXPECT_TRUE(api::datmSupported("kmeans", 1.0, n, 1));
+    }
+    EXPECT_EQ(api::datmEnvelopeRow("kmeans"), nullptr);
+}
+
+/**
+ * The thread bound is measured, not guessed: the last supported
+ * intruder point at 8 threads completes audit-clean, and a point the
+ * bound excludes panics with an exhausted arena.
+ */
+TEST(DatmEnvelope, IntruderThreadBoundRunsAudited)
+{
+    api::RunConfig cfg;
+    cfg.workload = "intruder";
+    cfg.scale = 0.25;
+    cfg.nthreads = 8;
+    cfg.tm = api::eagerConfig();
+    cfg.tm.mode = htm::TMMode::DATM;
+    cfg.trace.enabled = true;
+    cfg.trace.ringCapacity = 0;
+    ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 8, 1));
+    api::RunResult r = runClean(cfg, "intruder datm 0.25/8");
+    EXPECT_GT(r.reenact.forwardedCommitsChecked, 0u);
+
+    // The crash the bound exists for: 0.1 at 16 threads.
+    cfg.scale = 0.1;
+    cfg.nthreads = 16;
+    EXPECT_FALSE(api::datmSupported(cfg.workload, cfg.scale, 16, 1));
+    EXPECT_DEATH(api::runOnce(cfg), "arena [0-9]+ exhausted");
 }
 
 /** DATM runs get the widened arena; every other mode the default. */
@@ -312,7 +339,7 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
         cfg.trace.ringCapacity = 0;
-        ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 1));
+        ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 4, 1));
         api::RunResult r = runClean(cfg, "intruder datm 0.2");
         EXPECT_GT(r.reenact.forwardedCommitsChecked, 0u);
     }
@@ -325,7 +352,7 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
         cfg.trace.ringCapacity = 0;
-        ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 1));
+        ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 4, 1));
         runClean(cfg, "service datm 0.6");
     }
 }

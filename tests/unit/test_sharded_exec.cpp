@@ -1,18 +1,24 @@
 /**
  * @file
- * End-to-end tests for the sharded cluster: shard count must never
- * change committed architectural state (bit-identical runs for a
- * fixed seed), the per-shard TraceRecorders must merge into one
- * globally ordered trace, the ReenactmentValidator must stay sound
- * over the merged stream with N > 1 shards — including catching
- * deliberately corrupted repairs (faultInjectRepairXor) — and the
- * service workload must conserve its invariants under sharding and
- * dispatch-bandwidth modeling.
+ * End-to-end tests for the sharded cluster: shard and bank counts must
+ * never change simulated results (bit-identical runs and byte-identical
+ * merged traces for a fixed seed), the per-shard TraceRecorders must
+ * merge into one globally ordered trace, the ReenactmentValidator must
+ * stay sound over the merged stream with N > 1 shards — including
+ * catching deliberately corrupted repairs (faultInjectRepairXor) and
+ * forwards (faultInjectForwardXor) — the service workload must conserve
+ * its invariants under sharding and dispatch-bandwidth modeling, and
+ * repeated in-process runs of one config must be identical.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "api/runner.hpp"
 #include "exec/cluster.hpp"
@@ -51,6 +57,7 @@ struct ShardedRun {
     Cycle cycles = 0;
     Word counter = 0;
     std::uint64_t commits = 0;
+    std::uint64_t executed = 0;
     trace::ReenactReport report;
     std::vector<trace::Record> merged;
     std::uint64_t muxEvents = 0;
@@ -86,11 +93,114 @@ runSharded(unsigned nshards, Word fault_xor = 0, unsigned bandwidth = 0,
     out.cycles = cluster.run();
     out.counter = cluster.memory().readWord(kCounter);
     out.commits = cluster.aggregateStats().commits;
+    out.executed = cluster.eventQueue().executed();
     out.report = validator.report();
     out.merged = mux.mergedSnapshot();
     out.muxEvents = mux.totalEvents();
     for (unsigned s = 0; s < nshards; ++s)
         out.muxRepairs += mux.counters(s).repairs;
+    return out;
+}
+
+/** Record-for-record equality of two merged traces. */
+bool
+sameTrace(const std::vector<trace::Record> &a,
+          const std::vector<trace::Record> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (!trace::recordsIdentical(a[i], b[i]))
+            return false;
+    return true;
+}
+
+/**
+ * FNV-1a over every simulated observable of a RunResult. With
+ * @p layout false it skips the per-shard and per-bank breakdowns, whose
+ * shape depends on the shard and bank counts, so runs on different
+ * layouts can be compared.
+ */
+std::uint64_t
+fingerprint(const api::RunResult &r, bool layout = true)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(r.cycles);
+    mix(r.coreStats.txns);
+    mix(r.coreStats.commits);
+    mix(r.coreStats.aborts);
+    mix(r.coreStats.finishCycle);
+    mix(r.validation.ok);
+    mix(r.traceEvents);
+    mix(r.reenact.commitsChecked);
+    mix(r.reenact.repairsChecked);
+    mix(r.reenact.forwardsChecked);
+    mix(r.reenact.forwardedCommitsChecked);
+    mix(r.reenact.forwardedCommitsSkipped);
+    mix(r.reenact.mismatches);
+    mix(r.net.messages);
+    mix(r.net.payloadWords);
+    mix(r.net.queueCycles);
+    if (!layout)
+        return h;
+    for (const api::ShardSummary &s : r.shards) {
+        mix(s.txns);
+        mix(s.commits);
+        mix(s.aborts);
+        mix(s.queueScheduled);
+        mix(s.queueExecuted);
+        mix(s.queueStolen);
+        mix(s.queueDeferred);
+        mix(s.traceEvents);
+        mix(s.repairs);
+        mix(s.forwards);
+        mix(s.tokenWaits);
+        mix(s.schedObserved);
+        mix(s.schedDefers);
+        mix(s.schedDeferCycles);
+        mix(s.schedRepairableSkips);
+    }
+    for (const api::BankSummary &b : r.banks) {
+        mix(b.requests);
+        mix(b.stalled);
+        mix(b.stallCycles);
+        mix(b.tokenAcquires);
+        mix(b.tokenWaits);
+    }
+    return h;
+}
+
+/** An audited runOnce and its exported JSON trace. */
+struct ApiRun {
+    api::RunResult r;
+    std::string trace;
+};
+
+ApiRun
+runApi(api::RunConfig cfg, const std::string &tag)
+{
+    cfg.trace.enabled = true;
+    const std::string path = "sharded_exec_" + tag + ".json";
+    cfg.trace.exportJsonPath = path;
+    ApiRun out;
+    out.r = api::runOnce(cfg);
+    EXPECT_TRUE(out.r.validation.ok) << tag << ": "
+                                     << out.r.validation.note;
+    EXPECT_EQ(out.r.reenact.mismatches, 0u)
+        << tag << ": " << out.r.reenact.summary();
+    EXPECT_EQ(out.r.reenact.forwardedCommitsSkipped, 0u) << tag;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    out.trace = os.str();
+    EXPECT_FALSE(out.trace.empty()) << tag;
+    std::remove(path.c_str());
     return out;
 }
 
@@ -104,14 +214,125 @@ TEST(ShardedExec, ShardCountDoesNotChangeCommittedState)
 {
     ShardedRun one = runSharded(1);
     EXPECT_EQ(one.counter, Word(kThreads * kIters));
+    ASSERT_EQ(one.report.mismatches, 0u) << one.report.summary();
     for (unsigned n : {2u, 4u, 8u}) {
         ShardedRun sharded = runSharded(n);
         // Bit-identical simulation: same makespan, same architectural
-        // state, same commit count, same provenance stream length.
+        // state, same commit and event counts, same provenance stream
+        // record for record.
         EXPECT_EQ(sharded.cycles, one.cycles) << n << " shards";
         EXPECT_EQ(sharded.counter, one.counter) << n << " shards";
         EXPECT_EQ(sharded.commits, one.commits) << n << " shards";
+        EXPECT_EQ(sharded.executed, one.executed) << n << " shards";
         EXPECT_EQ(sharded.muxEvents, one.muxEvents) << n << " shards";
+        EXPECT_TRUE(sameTrace(sharded.merged, one.merged))
+            << n << " shards: merged trace diverged";
+        EXPECT_EQ(sharded.report.mismatches, 0u)
+            << sharded.report.summary();
+    }
+}
+
+TEST(ShardedExec, WorkloadGridBitIdenticalAcrossShardsAndBanks)
+{
+    // Real workloads through the public API: with dispatch bandwidth
+    // and bank occupancy unmodeled, every (shards, banks) point must
+    // reproduce the (1, 1) run's simulated results and its exported
+    // trace byte for byte.
+    for (const char *workload : {"service", "intruder"}) {
+        api::RunConfig cfg;
+        cfg.workload = workload;
+        cfg.nthreads = 8;
+        cfg.scale = 0.05;
+        cfg.tm = api::retconConfig();
+        ApiRun ref = runApi(cfg, std::string(workload) + "_s1_b1");
+        for (unsigned shards : {1u, 4u}) {
+            for (unsigned banks : {1u, 4u}) {
+                if (shards == 1 && banks == 1)
+                    continue;
+                cfg.shards = shards;
+                cfg.memBanks = banks;
+                std::string tag = std::string(workload) + "_s" +
+                                  std::to_string(shards) + "_b" +
+                                  std::to_string(banks);
+                ApiRun run = runApi(cfg, tag);
+                SCOPED_TRACE(tag);
+                EXPECT_EQ(fingerprint(run.r, false),
+                          fingerprint(ref.r, false))
+                    << "RunResult fingerprint diverged";
+                EXPECT_EQ(run.trace, ref.trace)
+                    << "exported trace bytes diverged";
+            }
+        }
+    }
+}
+
+TEST(ShardedExec, PartitionsClustersAndSchedulingAuditClean)
+{
+    // The remaining axes: service partitions, modeled contention
+    // (bandwidth, bank occupancy, commit tokens) and the
+    // contention-aware scheduler must audit clean and reproduce
+    // themselves; a 2-cluster fleet with cross-cluster routing must
+    // additionally be shard-count transparent.
+    api::RunConfig cfg;
+    cfg.workload = "service";
+    cfg.nthreads = 8;
+    cfg.scale = 0.05;
+    cfg.tm = api::retconConfig();
+    cfg.tm.commitTokenArbitration = true;
+    cfg.shards = 4;
+    cfg.shardBandwidth = 1;
+    cfg.memBanks = 4;
+    cfg.memBankOccupancy = 8;
+    cfg.servicePartitions = 4;
+    cfg.contentionSched = true;
+    ApiRun part = runApi(cfg, "svc_part");
+    EXPECT_GT(part.r.machineStats.tokenWaits, 0u);
+    ApiRun again = runApi(cfg, "svc_part_again");
+    EXPECT_EQ(fingerprint(again.r), fingerprint(part.r));
+    EXPECT_EQ(again.trace, part.trace);
+
+    api::RunConfig fcfg;
+    fcfg.workload = "service";
+    fcfg.nthreads = 4;
+    fcfg.scale = 0.05;
+    fcfg.tm = api::retconConfig();
+    fcfg.shards = 1;
+    fcfg.memBanks = 2;
+    fcfg.clusters = 2;
+    fcfg.crossClusterFraction = 0.1;
+    ApiRun fref = runApi(fcfg, "svc_fleet_s1");
+    EXPECT_GT(fref.r.net.messages, 0u);
+    fcfg.shards = 2;
+    ApiRun fleet = runApi(fcfg, "svc_fleet_s2");
+    EXPECT_EQ(fingerprint(fleet.r, false), fingerprint(fref.r, false));
+    EXPECT_EQ(fleet.trace, fref.trace);
+}
+
+TEST(ShardedExec, RepeatedRunsIdentical)
+{
+    // Twenty in-process runs of one config: any state leaking between
+    // runs (a static cache, an allocator cursor) shows up as drift.
+    // Fingerprints AND trace bytes must all be identical.
+    api::RunConfig cfg;
+    cfg.workload = "service";
+    cfg.nthreads = 8;
+    cfg.scale = 0.05;
+    cfg.tm = api::retconConfig();
+    cfg.shards = 4;
+    cfg.memBanks = 4;
+    ApiRun first = runApi(cfg, "det_0");
+    for (int i = 1; i < 20; ++i) {
+        ApiRun rep = runApi(cfg, "det_" + std::to_string(i));
+        ASSERT_EQ(fingerprint(rep.r), fingerprint(first.r)) << "run " << i;
+        ASSERT_EQ(rep.trace, first.trace) << "run " << i;
+    }
+
+    ShardedRun counter = runSharded(4, 0, /*bandwidth=*/1);
+    for (int i = 1; i < 20; ++i) {
+        ShardedRun rep = runSharded(4, 0, /*bandwidth=*/1);
+        ASSERT_EQ(rep.cycles, counter.cycles) << "run " << i;
+        ASSERT_TRUE(sameTrace(rep.merged, counter.merged)) << "run " << i;
+        ASSERT_EQ(rep.report.mismatches, 0u) << "run " << i;
     }
 }
 
@@ -228,6 +449,19 @@ TEST(ShardedExec, DatmForwardingChainsValidateAcrossShards)
     EXPECT_GT(out.report.forwardedCommitsChecked, 0u);
     EXPECT_EQ(out.report.forwardedCommitsSkipped, 0u);
     EXPECT_EQ(out.report.mismatches, 0u) << out.report.summary();
+}
+
+TEST(ShardedExec, DatmForwardingBitIdenticalAcrossShards)
+{
+    ShardedRun one = runSharded(1, 0, 0, htm::TMMode::DATM);
+    ASSERT_GT(one.report.forwardsChecked, 0u);
+    ASSERT_EQ(one.report.forwardedCommitsSkipped, 0u);
+    ShardedRun four = runSharded(4, 0, 0, htm::TMMode::DATM);
+    EXPECT_EQ(four.cycles, one.cycles);
+    EXPECT_TRUE(sameTrace(four.merged, one.merged));
+    EXPECT_EQ(four.report.forwardsChecked, one.report.forwardsChecked);
+    EXPECT_EQ(four.report.forwardedCommitsSkipped, 0u);
+    EXPECT_EQ(four.report.mismatches, 0u) << four.report.summary();
 }
 
 TEST(ShardedExec, DatmChainsActuallyCrossShardBoundaries)

@@ -219,7 +219,7 @@ TEST(StreamCodec, IllegalPayloadsAreRejected)
 }
 
 // ---------------------------------------------------------------------
-// File round trips: writer/reader, binary vs JSON/CSV bit-exactness
+// File round trips: writer/reader, binary vs JSON bit-exactness
 // ---------------------------------------------------------------------
 
 TEST(StreamFile, WriterReaderRoundTripIsLossless)
@@ -268,27 +268,21 @@ TEST(StreamFile, BinaryAndTextExportsRoundTripBitExactBothWays)
     query::LoadResult fromBin = query::loadBinary(binPath);
     ASSERT_TRUE(fromBin.ok) << fromBin.error;
 
-    // JSON -> records and CSV -> records, through the text loaders.
-    std::ostringstream json, csv;
+    // JSON -> records, through the text loader.
+    std::ostringstream json;
     trace::exportJson(recs, json);
-    trace::exportCsv(recs, csv);
-    std::istringstream jsonIn(json.str()), csvIn(csv.str());
+    std::istringstream jsonIn(json.str());
     query::LoadResult fromJson = query::loadJson(jsonIn);
-    query::LoadResult fromCsv = query::loadCsv(csvIn);
     ASSERT_TRUE(fromJson.ok) << fromJson.error;
-    ASSERT_TRUE(fromCsv.ok) << fromCsv.error;
 
-    // All three decodes agree with the original, field for field.
+    // Both decodes agree with the original, field for field.
     ASSERT_EQ(fromBin.records.size(), recs.size());
     ASSERT_EQ(fromJson.records.size(), recs.size());
-    ASSERT_EQ(fromCsv.records.size(), recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i) {
         ASSERT_TRUE(
             trace::recordsIdentical(fromBin.records[i], recs[i]));
         ASSERT_TRUE(
             trace::recordsIdentical(fromJson.records[i], recs[i]));
-        ASSERT_TRUE(
-            trace::recordsIdentical(fromCsv.records[i], recs[i]));
     }
 
     // Closing the loop binary -> JSON -> binary: re-exporting the

@@ -10,9 +10,9 @@
 //   retcon-query whatif [run options] [--set knob=value]...
 //   retcon-query smoke
 //
-// <trace-file> is any export format — framed binary .rtt
-// (docs/streaming.md), JSON Lines, or CSV — and the loader sniffs
-// which. Addresses accept 0x-prefixed hex.
+// <trace-file> is either export format — framed binary .rtt
+// (docs/streaming.md) or JSON Lines — and the loader sniffs which.
+// Addresses accept 0x-prefixed hex.
 //
 // whatif run options (the recorded base configuration):
 //   --workload W  (default service)   --nthreads N  (default 8)
@@ -21,7 +21,7 @@
 //   --annotate-phases  (service phase marks, default off)
 // Each --set knob=value is one change; see api::applyKnob for the
 // knob vocabulary. With no --set the variant is the base itself and
-// the report must show a bit-identical run with 100% prefix reuse —
+// the report must show a bit-identical run whose reach check holds —
 // the determinism self-check.
 //
 // smoke: self-contained CI check — record a quick contended service
@@ -220,15 +220,11 @@ printWhatIf(const api::WhatIfResult &w)
 {
     std::printf("reach     %s", api::reachClassName(w.reach));
     if (w.firstReachableSeq == trace::kSeqUnreached)
-        std::printf(" (no reachable record)\n");
+        std::printf(" (no reachable record)");
     else
-        std::printf(" (first reachable seq %" PRIu64 ")\n",
+        std::printf(" (first reachable seq %" PRIu64 ")",
                     w.firstReachableSeq);
-    std::printf("prefix    %" PRIu64 "/%zu records reused (%.1f%%), "
-                "proof %s\n",
-                w.prefixRecords, w.recorded.size(),
-                100.0 * w.prefixReuse,
-                w.prefixProofHeld ? "held" : "VIOLATED");
+    std::printf(", check %s\n", w.reachHeld ? "held" : "VIOLATED");
     if (w.bitIdentical) {
         std::printf("result    bit-identical (%zu records)\n",
                     w.recorded.size());
@@ -303,7 +299,7 @@ cmdWhatIf(int argc, char **argv)
         return 2;
     }
     printWhatIf(w);
-    return w.prefixProofHeld && w.reenact.report.ok() ? 0 : 1;
+    return w.reachHeld && w.reenact.report.ok() ? 0 : 1;
 }
 
 /**
@@ -398,12 +394,11 @@ cmdSmoke()
     // 4. whatif, no change: the determinism self-check.
     api::WhatIfResult same = api::runWhatIf(cfg, {});
     check(same.ok && same.bitIdentical, "no-change whatif bit-identical");
-    check(same.prefixReuse == 1.0, "no-change prefix reuse is 1.0");
-    check(same.prefixProofHeld, "no-change prefix proof holds");
+    check(same.reachHeld, "no-change reach check holds");
     check(same.reenact.report.ok(), "no-change reenactment clean");
 
     // 5. whatif, conflict-class change: divergence must start at or
-    //    after the first-interaction frontier, and the spliced stream
+    //    after the first-interaction frontier, and the variant stream
     //    must reenact. A conflict-free recording would make the claim
     //    vacuous, so require the frontier to exist.
     api::WhatIfResult diff =
@@ -411,11 +406,11 @@ cmdSmoke()
     check(diff.ok, "backoff whatif runs");
     check(diff.firstReachableSeq != trace::kSeqUnreached,
           "recording has a contention frontier");
-    check(diff.prefixProofHeld, "backoff prefix proof holds");
+    check(diff.reachHeld, "backoff reach check holds");
     check(!diff.diverged ||
               diff.firstDivergentSeq >= diff.firstReachableSeq,
           "divergence respects the reach frontier");
-    check(diff.reenact.report.ok(), "spliced stream reenacts clean");
+    check(diff.reenact.report.ok(), "variant stream reenacts clean");
 
     std::remove("query_smoke_trace.json");
     std::remove("query_smoke_trace.rtt");
@@ -435,7 +430,7 @@ usage()
         "       retcon-query <trace-file> diff <commit-seq>\n"
         "       retcon-query whatif [options] [--set knob=value]...\n"
         "       retcon-query smoke\n"
-        "<trace-file>: .rtt binary stream, JSON Lines, or CSV\n");
+        "<trace-file>: .rtt binary stream or JSON Lines\n");
     return 2;
 }
 
