@@ -271,12 +271,22 @@ Core::schedule(Cycle delay, Cat cat, std::function<void()> fn)
 {
     sim_assert(!_pendingEvent.valid(),
                "core %u double-scheduled an event", _id);
-    _pendingEvent =
-        _eq.scheduleAfter(delay, [this, cat, fn = std::move(fn)]() {
-            _pendingEvent = EventHandle{};
-            accountTo(cat);
-            fn();
-        });
+    _pendingCat = cat;
+    _pendingFn = std::move(fn);
+    // A core has at most one event in flight, so its category and
+    // continuation live here and the queued thunk fits std::function's
+    // small buffer (no allocation per event).
+    _pendingEvent = _eq.scheduleAfter(delay, [this]() { firePending(); });
+}
+
+void
+Core::firePending()
+{
+    _pendingEvent = EventHandle{};
+    accountTo(_pendingCat);
+    // Moved out first: the continuation may schedule the next event.
+    std::function<void()> fn = std::move(_pendingFn);
+    fn();
 }
 
 void

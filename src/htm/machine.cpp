@@ -1,6 +1,7 @@
 #include "htm/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hpp"
@@ -104,16 +105,33 @@ isFullWordAccess(Addr addr, unsigned size)
     return byteInWord(addr) == 0 && size == 8;
 }
 
+/** The mask bit of @p core (0 for kNoCore). */
+std::uint64_t
+coreBit(CoreId core)
+{
+    return core < 64 ? std::uint64_t(1) << core : 0;
+}
+
+/** Lowest core in a non-empty core mask. */
+CoreId
+lowestCore(std::uint64_t mask)
+{
+    return static_cast<CoreId>(std::countr_zero(mask));
+}
+
 } // namespace
 
 TMMachine::TMMachine(const SimClock &clock, mem::MemorySystem &ms,
                      const TMConfig &cfg)
     : _eq(clock), _ms(ms), _cfg(cfg), _predictor(cfg.predictor)
 {
+    sim_assert(ms.numCores() <= 64,
+               "sharer masks hold at most 64 cores, got %u",
+               ms.numCores());
     _cores.reserve(ms.numCores());
     for (unsigned i = 0; i < ms.numCores(); ++i)
         _cores.push_back(std::make_unique<CoreTxState>(
-            _cfg, ms.cacheConfig().permOnly));
+            _cfg, ms.cacheConfig().permOnly, _sharers, i));
     _bankTokens.resize(ms.numBanks());
     _tokenWaitsByCore.assign(ms.numCores(), 0);
     _xcTokenWaitsByCore.assign(ms.numCores(), 0);
@@ -193,17 +211,17 @@ TMMachine::findConflicts(CoreId requester, Addr block, bool is_write) const
         _cores[requester]->status == TxStatus::Committing;
     std::uint64_t req_ts =
         requester == kNoCore ? 0 : effectiveTs(requester, requester_txnal);
-    for (CoreId c = 0; c < _ms.numCores(); ++c) {
-        if (c == requester)
-            continue;
+    // One directory lookup; holders are visited in ascending core
+    // order, the order aborts and their trace records are issued in.
+    SharerIndex::Sharers sh = _sharers.lookup(block);
+    std::uint64_t cand =
+        (sh.writers | (is_write ? sh.readers : 0)) & ~coreBit(requester);
+    for (; cand; cand &= cand - 1) {
+        CoreId c = lowestCore(cand);
         const CoreTxState &st = *_cores[c];
         if (!st.active())
             continue;
-        bool hit = st.writeSet.count(block) ||
-                   (is_write && st.readSet.count(block));
-        if (!hit)
-            continue;
-        info.holders.push_back(c);
+        info.holders |= coreBit(c);
         // Commit priority: a transaction that reached its commit
         // point is logically serialized; requesters wait for it
         // rather than aborting it (deadlock-free: committers never
@@ -228,7 +246,7 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
                            Addr block, bool is_write, bool is_retry)
 {
     ConflictInfo info = findConflicts(requester, block, is_write);
-    if (info.holders.empty()) {
+    if (!info.holders) {
         if (requester_txnal)
             _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
         return OpStatus::Ok;
@@ -252,8 +270,9 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
     switch (policy) {
       case CMPolicy::OldestWins:
         if (!info.anyOlder) {
-            for (CoreId h : info.holders)
-                doAbort(h, AbortCause::Conflict, true, block);
+            for (std::uint64_t m = info.holders; m; m &= m - 1)
+                doAbort(lowestCore(m), AbortCause::Conflict, true,
+                        block);
             if (requester_txnal)
                 _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
             return OpStatus::Ok;
@@ -269,8 +288,8 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
         return OpStatus::AbortSelf;
 
       case CMPolicy::RequesterWins:
-        for (CoreId h : info.holders)
-            doAbort(h, AbortCause::Conflict, true, block);
+        for (std::uint64_t m = info.holders; m; m &= m - 1)
+            doAbort(lowestCore(m), AbortCause::Conflict, true, block);
         return OpStatus::Ok;
     }
     return OpStatus::Ok;
@@ -374,12 +393,13 @@ TMMachine::findForwardProducer(CoreId reader, Addr word,
     // writer — see the ROADMAP item on byte-granular attribution.
     // Block-level dependence edges (set by the caller) still order
     // every writer, so this limits audit coverage, not correctness.
-    Addr block = blockAddr(word);
     CoreId producer = kNoCore;
     std::uint64_t newest = 0;
-    for (CoreId c = 0; c < _ms.numCores(); ++c) {
+    for (std::uint64_t m = _sharers.lookup(blockAddr(word)).writers; m;
+         m &= m - 1) {
+        CoreId c = lowestCore(m);
         const CoreTxState &st = *_cores[c];
-        if (!st.active() || !st.writeSet.count(block))
+        if (!st.active())
             continue;
         auto it = st.datmStoreSeq.find(word);
         if (it != st.datmStoreSeq.end() && it->second >= newest) {
@@ -497,8 +517,7 @@ TMMachine::onRemoteTake(CoreId victim, Addr block,
         // lazy/DATM modes, where takes are part of normal operation).
         if (_cfg.mode == TMMode::Eager || _cfg.mode == TMMode::LazyVB ||
             _cfg.mode == TMMode::Retcon) {
-            sim_assert(!st.readSet.count(block) &&
-                           !st.writeSet.count(block),
+            sim_assert(!st.footprint.touches(block),
                        "speculative block 0x%llx stolen from core %u "
                        "without conflict resolution",
                        static_cast<unsigned long long>(block), victim);
@@ -512,11 +531,11 @@ TMMachine::onCapacityEvict(CoreId victim, Addr block)
     CoreTxState &st = *_cores[victim];
     if (!st.active())
         return;
-    if (!st.readSet.count(block) && !st.writeSet.count(block))
+    if (!st.footprint.touches(block))
         return;
     // Speculative bits survive in the permissions-only cache (§2).
     if (auto evicted = st.permCache.insert(block)) {
-        if (st.readSet.count(*evicted) || st.writeSet.count(*evicted)) {
+        if (st.footprint.touches(*evicted)) {
             // Even the permissions-only cache lost a speculative
             // block: fall back to OneTM serialized execution.
             st.overflowPending = true;
@@ -552,9 +571,9 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
     CoreTxState &st = *_cores[core];
     if (txnal) {
         if (is_write)
-            st.writeSet.insert(block);
+            st.footprint.addWrite(block);
         else
-            st.readSet.insert(block);
+            st.footprint.addRead(block);
     }
 
     if (is_write) {
@@ -602,8 +621,7 @@ TMMachine::plainStore(CoreId core, Addr addr, Word value, unsigned size)
             if (c == core)
                 continue;
             CoreTxState &st = *_cores[c];
-            if (st.active() && (st.readSet.count(block) ||
-                                st.writeSet.count(block) ||
+            if (st.active() && (st.footprint.touches(block) ||
                                 st.ssb.find(wordAddr(addr))))
                 doAbort(c, AbortCause::LazyCommitter, true, block);
         }
@@ -695,7 +713,7 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             return out;
         }
         mem::AccessResult res = _ms.access(core, block, false);
-        st.readSet.insert(block);
+        st.footprint.addRead(block);
         MemOpOutcome out;
         out.latency = res.latency;
         out.value = _ms.memory().read(addr, size);
@@ -793,11 +811,14 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
       }
 
       case TMMode::DATM: {
-        for (CoreId h = 0; h < _ms.numCores(); ++h) {
-            if (h == core)
-                continue;
+        // Cycle resolution below can abort writers; a snapshot walk
+        // that re-tests each one visits exactly the live writers.
+        for (std::uint64_t m =
+                 _sharers.lookup(block).writers & ~coreBit(core);
+             m; m &= m - 1) {
+            CoreId h = lowestCore(m);
             CoreTxState &hs = *_cores[h];
-            if (!hs.active() || !hs.writeSet.count(block))
+            if (!hs.active() || !hs.footprint.writes(block))
                 continue;
             if (hs.datmPreds.count(st.uid) ||
                 datmCreatesCycle(hs.uid, st.uid)) {
@@ -815,7 +836,7 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             st.datmPreds[hs.uid] |= 2; // Dataflow: forwarded value.
         }
         mem::AccessResult res = _ms.access(core, block, false);
-        st.readSet.insert(block);
+        st.footprint.addRead(block);
         MemOpOutcome out;
         out.latency = res.latency;
         // The dependence edges above are block-granular (conservative
@@ -826,10 +847,10 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
         // names the producing attempt and store so the reenactment
         // validator can resolve this read against the producer's
         // logged write instead of trusting architectural memory.
-        // This second O(cores) pass deliberately runs after the edge
-        // loop: cycle resolution above can cascade-abort a candidate
-        // producer and roll the word back, so any producer collected
-        // mid-loop could be stale.
+        // This second pass over the writers deliberately runs after the
+        // edge loop: cycle resolution above can cascade-abort a
+        // candidate producer and roll the word back, so any producer
+        // collected mid-loop could be stale.
         std::uint64_t store_seq = 0;
         CoreId producer = findForwardProducer(core, word, store_seq);
         if (producer != kNoCore) {
@@ -939,7 +960,7 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         auto put = st.ssb.put(word, merged, std::nullopt, 8);
         sim_assert(put != rtc::SymbolicStoreBuffer::Put::Full,
                    "lazy write buffer is unbounded");
-        st.writeSet.insert(block);
+        st.footprint.addWrite(block);
         emitTrace(core, "store", addr, value);
         audit(core, trace::EventKind::SymStore, word, merged);
         return MemOpOutcome{OpStatus::Ok, 1, 0, std::nullopt};
@@ -978,27 +999,31 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         // A re-write invalidates values already forwarded to readers:
         // any transaction that consumed our speculative data for this
         // block read a stale intermediate value and must abort.
-        for (CoreId s = 0; s < _ms.numCores(); ++s) {
-            if (s == core)
-                continue;
+        // Both walks take a snapshot of the block's sharers and
+        // re-test each one: cascades only ever remove sharers.
+        for (std::uint64_t m =
+                 _sharers.lookup(block).readers & ~coreBit(core);
+             m; m &= m - 1) {
+            CoreId s = lowestCore(m);
             CoreTxState &ss = *_cores[s];
             if (!ss.active())
                 continue;
             auto it = ss.datmPreds.find(st.uid);
             if (it != ss.datmPreds.end() && (it->second & 2) &&
-                ss.readSet.count(block) && st.writeSet.count(block)) {
+                ss.footprint.reads(block) && st.footprint.writes(block)) {
                 datmAbortCascade(s, AbortCause::DatmCascade, true,
                                  block);
             }
         }
-        for (CoreId h = 0; h < _ms.numCores(); ++h) {
-            if (h == core)
-                continue;
+        SharerIndex::Sharers sh = _sharers.lookup(block);
+        for (std::uint64_t m = (sh.readers | sh.writers) & ~coreBit(core);
+             m; m &= m - 1) {
+            CoreId h = lowestCore(m);
             CoreTxState &hs = *_cores[h];
             if (!hs.active())
                 continue;
-            bool waw = hs.writeSet.count(block);
-            bool anti = hs.readSet.count(block);
+            bool waw = hs.footprint.writes(block);
+            bool anti = hs.footprint.reads(block);
             if (!waw && !anti)
                 continue;
             if (hs.datmPreds.count(st.uid) ||
@@ -1018,7 +1043,7 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
             st.datmPreds[hs.uid] |= waw ? 2 : 1;
         }
         mem::AccessResult res = _ms.access(core, block, true);
-        st.writeSet.insert(block);
+        st.footprint.addWrite(block);
         std::uint64_t vid = _writeSeq++;
         st.undo.record(word, _ms.memory().readWord(word), vid);
         st.datmStoreSeq[word] = vid;
@@ -1087,7 +1112,7 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
         }
     }
 
-    st.writeSet.insert(block);
+    st.footprint.addWrite(block);
     std::uint64_t vid = _writeSeq++;
     st.undo.record(word, _ms.memory().readWord(word), vid);
     _ms.memory().write(addr, value, size);
@@ -1255,7 +1280,7 @@ TMMachine::neededBankMask(CoreId core) const
     auto add = [&](Addr block) {
         mask |= std::uint64_t(1) << _ms.bankOf(block);
     };
-    for (Addr b : st.writeSet)
+    for (Addr b : st.footprint.writeBlocks())
         add(b);
     for (const rtc::SsbEntry &e : st.ssb.entries())
         add(blockAddr(e.word));
@@ -1536,9 +1561,9 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
             }
             // Protect the block eagerly for the rest of the commit
             // (Figure 7 sets the speculatively-read bit).
-            st.readSet.insert(e.block);
+            st.footprint.addRead(e.block);
             if (want_write)
-                st.writeSet.insert(e.block);
+                st.footprint.addWrite(e.block);
 
             // Refresh final values and check all constraints.
             for (unsigned w = 0; w < kWordsPerBlock; ++w) {
@@ -1607,7 +1632,7 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
             mem::AccessResult res = _ms.access(core, block, true);
             lat = res.latency;
         }
-        st.writeSet.insert(block);
+        st.footprint.addWrite(block);
         Word value = e.concrete;
         if (e.sym) {
             rtc::IvbEntry *root_entry =
@@ -1664,15 +1689,12 @@ TMMachine::commitStepLazy(CoreId core, [[maybe_unused]] bool is_retry)
         Addr block = blockAddr(e.word);
         // Committer wins: every other transaction that touched this
         // block aborts (Figure 2e).
-        for (CoreId c = 0; c < _ms.numCores(); ++c) {
-            if (c == core)
-                continue;
+        SharerIndex::Sharers sh = _sharers.lookup(block);
+        for (std::uint64_t m = (sh.readers | sh.writers) & ~coreBit(core);
+             m; m &= m - 1) {
+            CoreId c = lowestCore(m);
             CoreTxState &cs = *_cores[c];
-            if (!cs.active())
-                continue;
-            bool touched = cs.readSet.count(block) ||
-                           cs.writeSet.count(block);
-            if (touched)
+            if (cs.active() && cs.footprint.touches(block))
                 doAbort(c, AbortCause::LazyCommitter, true, block);
         }
         mem::AccessResult res = _ms.access(core, block, true);

@@ -228,6 +228,9 @@ class TMMachine : public mem::CoherenceListener
     mem::MemorySystem &memorySystem() { return _ms; }
     CoreTxState &coreState(CoreId core) { return *_cores[core]; }
 
+    /** Per-block speculative readers and writers of every core. */
+    const SharerIndex &sharers() const { return _sharers; }
+
     /** Per-bank commit-token counters (all zero unless arbitration
      *  is modeled — TMConfig::commitTokenArbitration). */
     struct BankTokenStats {
@@ -273,6 +276,9 @@ class TMMachine : public mem::CoherenceListener
     mem::MemorySystem &_ms;
     TMConfig _cfg;
     rtc::ConflictPredictor _predictor;
+    /// Block -> speculative reader/writer cores; declared before
+    /// _cores because every core's footprint writes into it.
+    SharerIndex _sharers;
     std::vector<std::unique_ptr<CoreTxState>> _cores;
     RemoteAbortFn _onRemoteAbort;
     TraceFn _trace;
@@ -326,7 +332,7 @@ class TMMachine : public mem::CoherenceListener
 
     // ---- Internal helpers -------------------------------------------
     struct ConflictInfo {
-        std::vector<CoreId> holders;
+        std::uint64_t holders = 0; ///< Conflicting cores (bit = core).
         bool anyOlder = false;
     };
 

@@ -5,9 +5,16 @@
  * Events are callbacks scheduled at an absolute cycle. Events scheduled
  * for the same cycle fire in the order they were scheduled (a strictly
  * increasing sequence number breaks ties), so a simulation with a fixed
- * seed is bit-for-bit reproducible. Cancellation is supported through
- * EventHandle generations rather than queue surgery: a cancelled event
- * stays in the heap but is skipped when popped.
+ * seed is bit-for-bit reproducible.
+ *
+ * Callbacks live in a slab of reusable slots; the binary heap orders
+ * only small (when, seq, slot, gen) keys, so popping or slipping an
+ * event never moves a closure. Every slot carries a generation that is
+ * bumped when its event fires or is cancelled. A handle names a
+ * (slot, generation) pair, which makes cancel() an O(1) generation
+ * bump and turns a cancel of an event that already fired into a no-op;
+ * a heap key whose generation no longer matches its slot is stale and
+ * is discarded when it reaches the top.
  */
 
 #ifndef RETCON_SIM_EVENT_QUEUE_HPP
@@ -15,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -87,7 +93,10 @@ class EventQueue : public SimClock
         return schedule(_now + delta, std::move(cb));
     }
 
-    /** Cancel a previously scheduled event. Idempotent. */
+    /**
+     * Cancel a previously scheduled event. Idempotent, and a no-op on
+     * a handle whose event already fired.
+     */
     void cancel(EventHandle h);
 
     /** True when no live events remain. */
@@ -109,32 +118,49 @@ class EventQueue : public SimClock
     std::uint64_t executed() const { return _executed; }
 
   private:
-    struct Entry {
+    /** Heap key: orders an event without touching its callback. */
+    struct Key {
         Cycle when;
         std::uint64_t seq;
-        std::uint64_t id;
-        Callback cb;
-    };
+        std::uint32_t slot;
+        std::uint32_t gen;
 
-    struct Later {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        before(const Key &o) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> _heap;
-    std::vector<std::uint64_t> _cancelled;
+    struct Slot {
+        Callback cb;
+        std::uint32_t gen = 1;
+    };
+
+    /// A handle packs (gen << kSlotBits) | slot into 56 bits, below the
+    /// ShardedEventQueue's shard byte.
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
+
+    std::vector<Key> _heap; ///< Binary min-heap on (when, seq).
+    std::vector<Slot> _slots;
+    std::vector<std::uint32_t> _free;
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
-    std::uint64_t _nextId = 1;
     std::size_t _live = 0;
     std::uint64_t _executed = 0;
 
-    bool isCancelled(std::uint64_t id) const;
+    bool stale(const Key &k) const { return _slots[k.slot].gen != k.gen; }
+
+    /** Release @p slot: bump its generation and recycle it. */
+    void retire(std::uint32_t slot);
+
+    /** Drop stale keys from the heap top. @return false if drained. */
+    bool pruneTop();
+
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
+    void popTop();
 };
 
 } // namespace retcon

@@ -81,6 +81,54 @@ TEST(EventQueue, PendingTracksLiveEvents)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
+TEST(EventQueue, CancelAfterFireIsANoOp)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventHandle first = eq.schedule(1, [&] { ++fired; });
+    eq.schedule(2, [&] { ++fired; });
+    ASSERT_TRUE(eq.step());
+    eq.cancel(first); // Already fired: must not touch the live event.
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_FALSE(eq.empty());
+    eq.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, StaleHandleDoesNotCancelTheSlotsNextEvent)
+{
+    // The fired event's slot is reused by the next schedule; the old
+    // handle names the old generation and must leave the new one be.
+    EventQueue eq;
+    bool second = false;
+    EventHandle h = eq.schedule(1, [] {});
+    eq.run();
+    eq.schedule(5, [&] { second = true; });
+    eq.cancel(h);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(second);
+}
+
+TEST(EventQueue, CancelThenRescheduleSameCycleKeepsScheduleOrder)
+{
+    // The exec::Core pattern: cancel the pending event, then schedule
+    // a new one at the same cycle. It reuses the cancelled slot but
+    // takes a fresh sequence number, so it runs after every event
+    // already due that cycle.
+    EventQueue eq;
+    std::vector<int> order;
+    EventHandle h = eq.schedule(5, [&] { order.push_back(0); });
+    eq.schedule(5, [&] { order.push_back(1); });
+    eq.cancel(h);
+    eq.schedule(5, [&] { order.push_back(2); });
+    eq.schedule(5, [&] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     EventQueue eq;

@@ -76,7 +76,7 @@ TEST(Retcon, SymbolicLoadReturnsTagAndTracksBlock)
     EXPECT_EQ(out.sym->delta, 0);
     EXPECT_EQ(rig.tm.coreState(0).ivb.size(), 1u);
     // Symbolic loads do not enter the eager read set.
-    EXPECT_TRUE(rig.tm.coreState(0).readSet.empty());
+    EXPECT_TRUE(rig.tm.coreState(0).footprint.readBlocks().empty());
 }
 
 TEST(Retcon, RepairAppliesRemoteUpdateAtCommit)
@@ -250,7 +250,7 @@ TEST(Retcon, IvbCapacityFallsBackToEagerPath)
         rig.tm.txLoad(0, block);
     }
     EXPECT_EQ(rig.tm.coreState(0).ivb.size(), 16u);
-    EXPECT_EQ(rig.tm.coreState(0).readSet.size(), 1u);
+    EXPECT_EQ(rig.tm.coreState(0).footprint.readBlocks().size(), 1u);
 }
 
 TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
@@ -272,7 +272,7 @@ TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
     tm.txStore(0, kB + 8, 1, t);
     tm.txStore(0, kB + 16, 1, t);
     EXPECT_EQ(tm.coreState(0).ssb.size(), 2u);
-    EXPECT_EQ(tm.coreState(0).writeSet.count(blockAddr(kB)), 1u);
+    EXPECT_TRUE(tm.coreState(0).footprint.writes(blockAddr(kB)));
     rtc::IvbEntry *e = tm.coreState(0).ivb.find(blockAddr(kA));
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->eqMask & 1);
@@ -338,7 +338,7 @@ TEST(Retcon, CommitPriorityProtectsCommitterFromOlderActive)
     // older core 0 access the block core 1 holds mid-commit.
     CommitStepOutcome s = rig.tm.commitStep(1, false);
     ASSERT_EQ(s.status, OpStatus::Ok);
-    while (rig.tm.coreState(1).writeSet.empty() && !s.done)
+    while (rig.tm.coreState(1).footprint.writeBlocks().empty() && !s.done)
         s = rig.tm.commitStep(1, false);
     MemOpOutcome out = rig.tm.txStore(0, kA, 9, std::nullopt);
     EXPECT_EQ(out.status, OpStatus::Nack); // Waits, does not abort.

@@ -127,8 +127,9 @@ TEST(QueryIndex, AttemptsPartitionTheStream)
         EXPECT_EQ(at.uid, uid);
         EXPECT_FALSE(at.committed && at.aborted);
         EXPECT_FALSE(at.recordIdx.empty());
-        if (at.committed || at.aborted)
+        if (at.committed || at.aborted) {
             EXPECT_GT(at.endSeq, at.beginSeq);
+        }
         // attemptAtSeq maps the interval back to the attempt.
         EXPECT_EQ(idx.attemptAtSeq(at.beginSeq), uid);
     }

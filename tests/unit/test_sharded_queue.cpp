@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -108,6 +110,42 @@ TEST(ShardedQueue, CancelRoutesToTheHomeShard)
     q.run();
     EXPECT_FALSE(fired);
     EXPECT_EQ(q.executed(), 1u);
+}
+
+TEST(ShardedQueue, CancelAfterFireIsANoOp)
+{
+    ShardedEventQueue q(config(2));
+    int fired = 0;
+    EventHandle first = q.schedule(1, 1, [&] { ++fired; });
+    q.schedule(1, 2, [&] { ++fired; });
+    ASSERT_TRUE(q.step());
+    q.cancel(first); // Already fired: must not touch the live event.
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_FALSE(q.empty());
+    q.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(ShardedQueue, CancelThenRescheduleSameCycleKeepsGlobalOrder)
+{
+    // exec::Core on a remote abort: cancel the core's pending event and
+    // schedule its restart at the same cycle. The restart takes a fresh
+    // global sequence number, so it runs after every event already due
+    // that cycle on any shard, and before those scheduled after it.
+    ShardedEventQueue q(config(2));
+    std::vector<int> order;
+    q.schedule(1, 5, [&] { order.push_back(0); });
+    EventHandle h = q.schedule(0, 5, [&] { order.push_back(1); });
+    q.schedule(1, 5, [&] { order.push_back(2); });
+    q.cancel(h);
+    q.schedule(0, 5, [&] { order.push_back(3); });
+    q.schedule(1, 5, [&] { order.push_back(4); });
+    q.schedule(0, 4, [&] { order.push_back(5); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{5, 0, 2, 3, 4}));
+    EXPECT_EQ(q.executed(), 5u);
 }
 
 TEST(ShardedQueue, BandwidthSlipsOverQuotaEventsToLaterCycles)
