@@ -3,28 +3,26 @@
 namespace retcon::mem {
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geom)
-    : _ways(geom.ways)
+    : _ways(geom.ways), _setMask(geom.numSets() - 1)
 {
     std::uint64_t nsets = geom.numSets();
     sim_assert(nsets > 0 && (nsets & (nsets - 1)) == 0,
                "cache set count must be a nonzero power of two");
-    _sets.resize(nsets);
-    for (auto &s : _sets)
-        s.resize(_ways);
+    _lines.resize(nsets * _ways);
 }
 
-SetAssocCache::Set &
+std::span<SetAssocCache::Line>
 SetAssocCache::setFor(Addr block)
 {
-    std::uint64_t idx = (block / kBlockBytes) & (_sets.size() - 1);
-    return _sets[idx];
+    std::uint64_t idx = (block / kBlockBytes) & _setMask;
+    return {_lines.data() + idx * _ways, _ways};
 }
 
-const SetAssocCache::Set &
+std::span<const SetAssocCache::Line>
 SetAssocCache::setFor(Addr block) const
 {
-    std::uint64_t idx = (block / kBlockBytes) & (_sets.size() - 1);
-    return _sets[idx];
+    std::uint64_t idx = (block / kBlockBytes) & _setMask;
+    return {_lines.data() + idx * _ways, _ways};
 }
 
 bool
@@ -50,7 +48,7 @@ SetAssocCache::touch(Addr block)
 std::optional<Addr>
 SetAssocCache::insert(Addr block)
 {
-    Set &set = setFor(block);
+    std::span<Line> set = setFor(block);
     // Already resident: refresh recency.
     for (auto &line : set) {
         if (line.valid && line.block == block) {
@@ -92,9 +90,8 @@ SetAssocCache::invalidate(Addr block)
 void
 SetAssocCache::clear()
 {
-    for (auto &set : _sets)
-        for (auto &line : set)
-            line.valid = false;
+    for (auto &line : _lines)
+        line.valid = false;
     _occupancy = 0;
 }
 

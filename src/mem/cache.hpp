@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -62,7 +63,7 @@ class SetAssocCache
     /** Number of resident blocks (for tests). */
     std::size_t occupancy() const { return _occupancy; }
 
-    std::uint64_t numSets() const { return _sets.size(); }
+    std::uint64_t numSets() const { return _setMask + 1; }
     unsigned ways() const { return _ways; }
 
   private:
@@ -72,15 +73,16 @@ class SetAssocCache
         std::uint64_t lastUse = 0;
     };
 
-    using Set = std::vector<Line>;
-
-    std::vector<Set> _sets;
+    /// Every set's ways, set-major in one block: set i is lines
+    /// [i * ways, (i + 1) * ways).
+    std::vector<Line> _lines;
     unsigned _ways;
+    std::uint64_t _setMask;
     std::uint64_t _useClock = 0;
     std::size_t _occupancy = 0;
 
-    Set &setFor(Addr block);
-    const Set &setFor(Addr block) const;
+    std::span<Line> setFor(Addr block);
+    std::span<const Line> setFor(Addr block) const;
 };
 
 } // namespace retcon::mem

@@ -1,10 +1,67 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hpp"
 
 namespace retcon {
+
+namespace {
+
+template <class K, class Before>
+void
+siftUp(std::vector<K> &h, std::size_t i, Before before)
+{
+    K k = h[i];
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 2;
+        if (!before(k, h[parent]))
+            break;
+        h[i] = h[parent];
+        i = parent;
+    }
+    h[i] = k;
+}
+
+template <class K, class Before>
+void
+siftDown(std::vector<K> &h, std::size_t i, Before before)
+{
+    const std::size_t n = h.size();
+    K k = h[i];
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(h[child + 1], h[child]))
+            ++child;
+        if (!before(h[child], k))
+            break;
+        h[i] = h[child];
+        i = child;
+    }
+    h[i] = k;
+}
+
+template <class K, class Before>
+void
+popFront(std::vector<K> &h, Before before)
+{
+    h.front() = h.back();
+    h.pop_back();
+    if (!h.empty())
+        siftDown(h, 0, before);
+}
+
+constexpr auto byTime = [](const auto &a, const auto &b) {
+    return a.before(b);
+};
+constexpr auto bySeq = [](const auto &a, const auto &b) {
+    return a.seq < b.seq;
+};
+
+} // namespace
 
 EventHandle
 EventQueue::schedule(Cycle when, Callback cb)
@@ -27,7 +84,7 @@ EventQueue::scheduleSeq(Cycle when, std::uint64_t seq, Callback cb)
     Slot &s = _slots[slot];
     s.cb = std::move(cb);
     _heap.push_back(Key{when, seq, slot, s.gen});
-    siftUp(_heap.size() - 1);
+    siftUp(_heap, _heap.size() - 1, byTime);
     ++_live;
     return EventHandle{(std::uint64_t(s.gen) << kSlotBits) | slot};
 }
@@ -44,45 +101,20 @@ EventQueue::retire(std::uint32_t slot)
 }
 
 void
-EventQueue::siftUp(std::size_t i)
-{
-    Key k = _heap[i];
-    while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!k.before(_heap[parent]))
-            break;
-        _heap[i] = _heap[parent];
-        i = parent;
-    }
-    _heap[i] = k;
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const std::size_t n = _heap.size();
-    Key k = _heap[i];
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && _heap[child + 1].before(_heap[child]))
-            ++child;
-        if (!_heap[child].before(k))
-            break;
-        _heap[i] = _heap[child];
-        i = child;
-    }
-    _heap[i] = k;
-}
-
-void
 EventQueue::popTop()
 {
-    _heap.front() = _heap.back();
-    _heap.pop_back();
-    if (!_heap.empty())
-        siftDown(0);
+    popFront(_heap, byTime);
+}
+
+EventQueue::Key
+EventQueue::takeReady()
+{
+    Key k = _ready.front();
+    popFront(_ready, bySeq);
+    k.when = _floor;
+    _slots[k.slot].ready = false;
+    --_readyLive;
+    return k;
 }
 
 bool
@@ -94,8 +126,28 @@ EventQueue::pruneTop()
 }
 
 bool
+EventQueue::readyLeads()
+{
+    while (!_ready.empty() && stale(_ready.front()))
+        popFront(_ready, bySeq);
+    if (_ready.empty())
+        return false;
+    if (!pruneTop())
+        return true;
+    // A ready key reads as (floor, seq).
+    const Key &p = _heap.front();
+    return _floor < p.when ||
+           (_floor == p.when && _ready.front().seq < p.seq);
+}
+
+bool
 EventQueue::peekNext(Cycle &when, std::uint64_t &seq)
 {
+    if (!_ready.empty() && readyLeads()) {
+        when = _floor;
+        seq = _ready.front().seq;
+        return true;
+    }
     if (!pruneTop())
         return false;
     when = _heap.front().when;
@@ -106,12 +158,51 @@ EventQueue::peekNext(Cycle &when, std::uint64_t &seq)
 void
 EventQueue::deferNext(Cycle new_when)
 {
+    if (!_ready.empty() && readyLeads()) {
+        // One slip out of the ready heap: back to the pending heap.
+        sim_assert(new_when >= _floor, "deferring into the past");
+        Key k = takeReady();
+        k.when = new_when;
+        _heap.push_back(k);
+        siftUp(_heap, _heap.size() - 1, byTime);
+        return;
+    }
     sim_assert(!_heap.empty(), "deferNext on a drained queue");
     Key &top = _heap.front();
     sim_assert(new_when >= top.when, "deferring into the past");
     // A later time only moves the key down the heap.
     top.when = new_when;
-    siftDown(0);
+    siftDown(_heap, 0, byTime);
+}
+
+void
+EventQueue::raiseFloor(Cycle floor)
+{
+    _floor = std::max(_floor, floor);
+    while (!_heap.empty() && _heap.front().when <= floor) {
+        const Key k = _heap.front();
+        popTop();
+        if (stale(k))
+            continue;
+        _slots[k.slot].ready = true;
+        ++_readyLive;
+        _ready.push_back(k);
+        siftUp(_ready, _ready.size() - 1, bySeq);
+    }
+}
+
+std::size_t
+EventQueue::slipDue(Cycle when)
+{
+    // A floor of when + 1 means this shard already slipped cycle `when`
+    // as a batch; what is due there now was scheduled since, and the
+    // ready keys already sitting at when + 1 are not slipped again.
+    sim_assert(_floor <= when + 1, "slipping a cycle the floor passed");
+    const std::size_t already = _floor > when ? _readyLive : 0;
+    raiseFloor(when);
+    const std::size_t slipped = _readyLive - already;
+    raiseFloor(when + 1);
+    return slipped;
 }
 
 void
@@ -123,6 +214,10 @@ EventQueue::cancel(EventHandle h)
     auto gen = static_cast<std::uint32_t>(h.id >> kSlotBits);
     if (slot >= _slots.size() || _slots[slot].gen != gen)
         return; // Already fired or cancelled.
+    if (_slots[slot].ready) {
+        _slots[slot].ready = false;
+        --_readyLive;
+    }
     retire(slot);
     --_live;
 }
@@ -130,10 +225,15 @@ EventQueue::cancel(EventHandle h)
 bool
 EventQueue::step()
 {
-    if (!pruneTop())
-        return false;
-    const Key k = _heap.front();
-    popTop();
+    Key k{};
+    if (!_ready.empty() && readyLeads()) {
+        k = takeReady();
+    } else {
+        if (!pruneTop())
+            return false;
+        k = _heap.front();
+        popTop();
+    }
     sim_assert(k.when >= _now, "event heap out of order");
     _now = k.when;
     // Take the callback out before running it: it may schedule events
@@ -149,7 +249,9 @@ EventQueue::step()
 Cycle
 EventQueue::run(Cycle maxCycles)
 {
-    while (pruneTop() && _heap.front().when <= maxCycles)
+    Cycle when;
+    std::uint64_t seq;
+    while (peekNext(when, seq) && when <= maxCycles)
         step();
     return _now;
 }

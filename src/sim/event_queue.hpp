@@ -15,6 +15,32 @@
  * bump and turns a cancel of an event that already fired into a no-op;
  * a heap key whose generation no longer matches its slot is stale and
  * is discarded when it reaches the top.
+ *
+ * Slips. A slip moves a due event one cycle later and keeps its
+ * sequence number. deferNext() slips the next event alone. slipDue()
+ * slips every event due at a cycle at once, for a ShardedEventQueue
+ * cycle in which every shard has spent its dispatch slots. Keys live
+ * in one of two heaps:
+ *   - the pending heap, ordered by (when, seq), holds what schedule()
+ *     and deferNext() push;
+ *   - the ready heap, ordered by seq alone, holds the keys slipDue()
+ *     moved there. Every one of them is due at the floor cycle, which
+ *     only rises. The next event is the earlier of the two tops, with
+ *     a ready key read as (floor, seq).
+ * slipDue(c) raises the floor to c, so the ready heap holds exactly
+ * the events due at c; it counts the live ones as slipped, then raises
+ * the floor to c + 1, pulling the keys due at c + 1 in beside them.
+ * Each slipped event thus moves to (c + 1, seq) in O(1), not in a
+ * re-key and sift of its own.
+ *
+ * Exactness: once every shard is full at cycle c, no further callback
+ * runs at c, so the per-event rule would pop each remaining due event
+ * in (c, seq) order and slip it exactly once, with no state change in
+ * between (the steal cursor moves only on a steal). Afterwards every
+ * such event is at (c + 1, seq), which is where the batch leaves it,
+ * and each shard has counted the same slips. While the ready heap is
+ * empty, peekNext() and step() take the pending-heap path alone, so a
+ * run with no batched slip pays one emptiness test per call.
  */
 
 #ifndef RETCON_SIM_EVENT_QUEUE_HPP
@@ -86,6 +112,13 @@ class EventQueue : public SimClock
      */
     void deferNext(Cycle new_when);
 
+    /**
+     * Slip every live event due at @p when to @p when + 1 at once,
+     * keeping sequence numbers. Call only when no live event is due
+     * earlier than @p when. @return the number of events slipped.
+     */
+    std::size_t slipDue(Cycle when);
+
     /** Schedule @p cb @p delta cycles from now. */
     EventHandle
     scheduleAfter(Cycle delta, Callback cb)
@@ -135,6 +168,7 @@ class EventQueue : public SimClock
     struct Slot {
         Callback cb;
         std::uint32_t gen = 1;
+        bool ready = false; ///< The live key sits in the ready heap.
     };
 
     /// A handle packs (gen << kSlotBits) | slot into 56 bits, below the
@@ -142,9 +176,12 @@ class EventQueue : public SimClock
     static constexpr unsigned kSlotBits = 24;
     static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
 
-    std::vector<Key> _heap; ///< Binary min-heap on (when, seq).
+    std::vector<Key> _heap;  ///< Pending: binary min-heap on (when, seq).
+    std::vector<Key> _ready; ///< Due at _floor: binary min-heap on seq.
     std::vector<Slot> _slots;
     std::vector<std::uint32_t> _free;
+    Cycle _floor = 0;
+    std::size_t _readyLive = 0; ///< Live (non-cancelled) ready keys.
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
     std::size_t _live = 0;
@@ -155,12 +192,26 @@ class EventQueue : public SimClock
     /** Release @p slot: bump its generation and recycle it. */
     void retire(std::uint32_t slot);
 
-    /** Drop stale keys from the heap top. @return false if drained. */
+    /** Drop stale keys from the pending top. @return false if empty. */
     bool pruneTop();
 
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    /**
+     * Prune both heaps' tops. @return true when the ready top is the
+     * next live event. Callers test _ready.empty() first, so a queue
+     * with no slipped events never calls it.
+     */
+    bool readyLeads();
+
+    /**
+     * Raise the floor to @p floor (it never falls) and move the pending
+     * keys due by @p floor into the ready heap.
+     */
+    void raiseFloor(Cycle floor);
+
     void popTop();
+
+    /** Pop the ready top, as a key due at the floor. */
+    Key takeReady();
 };
 
 } // namespace retcon

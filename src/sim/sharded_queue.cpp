@@ -121,6 +121,17 @@ ShardedEventQueue::executorFor(unsigned home, Cycle when)
     return -1;
 }
 
+void
+ShardedEventQueue::slipCycle(Cycle when)
+{
+    for (unsigned s = 0; s < _cfg.nshards; ++s) {
+        Cycle w;
+        std::uint64_t q;
+        if (_shards[s]->peekNext(w, q) && w == when)
+            _stats[s].deferred += _shards[s]->slipDue(when);
+    }
+}
+
 bool
 ShardedEventQueue::dispatchAt(unsigned home, Cycle when)
 {
@@ -128,15 +139,23 @@ ShardedEventQueue::dispatchAt(unsigned home, Cycle when)
         // Clock advances: all dispatch slots refill.
         _dispatchCycle = when;
         std::fill(_dispatched.begin(), _dispatched.end(), 0u);
+        _fullShards = 0;
     }
     int exec = executorFor(home, when);
     if (exec < 0) {
-        // All slots this cycle are spoken for: the event slips.
-        _shards[home]->deferNext(when + 1);
-        ++_stats[home].deferred;
+        // All slots open to this event are spoken for: it slips. When
+        // every shard is full nothing else can run this cycle, so every
+        // event still due slips with it.
+        if (_fullShards == _cfg.nshards) {
+            slipCycle(when);
+        } else {
+            _shards[home]->deferNext(when + 1);
+            ++_stats[home].deferred;
+        }
         return false;
     }
-    ++_dispatched[exec];
+    if (++_dispatched[exec] == _cfg.dispatchBandwidth)
+        ++_fullShards;
     ++_stats[home].drained;
     ++_stats[exec].executed;
     ++_executed;

@@ -26,6 +26,13 @@
  * and slip timing only; the drain order is still the unique global
  * (cycle, seq) order, so runs stay deterministic for a fixed
  * configuration.
+ *
+ * Once every shard has spent its slots in a cycle, no other event can
+ * run, steal or slip differently in it, so each shard slips all its
+ * events still due in one EventQueue::slipDue() (see event_queue.hpp
+ * for why that is exact). While only some shards are full, a later
+ * event of the cycle may still be stolen, and slips go one event at a
+ * time.
  */
 
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
@@ -141,6 +148,7 @@ class ShardedEventQueue final : public SimClock
     /// Per-cycle dispatch accounting (reset when the clock advances).
     Cycle _dispatchCycle = 0;
     std::vector<unsigned> _dispatched;
+    unsigned _fullShards = 0; ///< Shards with no slot left this cycle.
     unsigned _stealCursor = 0;
 
     /// Shard index is packed into the handle's top byte.
@@ -165,6 +173,9 @@ class ShardedEventQueue final : public SimClock
      * @return true when the event ran, false when it slipped.
      */
     bool dispatchAt(unsigned home, Cycle when);
+
+    /** Every shard is full at @p when: slip all events due then. */
+    void slipCycle(Cycle when);
 };
 
 /**

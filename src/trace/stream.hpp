@@ -55,7 +55,7 @@ inline constexpr std::size_t kFramePayloadBytes = 66;
 inline constexpr std::size_t kFrameBytes = 2 + 2 + 8 +
                                            kFramePayloadBytes + 4;
 
-/** CRC-32 (IEEE 802.3, poly 0xEDB88320), table-driven, no deps. */
+/** CRC-32 (IEEE 802.3, poly 0xEDB88320), slice-by-8 tables, no deps. */
 std::uint32_t crc32(const unsigned char *data, std::size_t n);
 
 /** Serialize one record as a complete frame (sync..crc). */

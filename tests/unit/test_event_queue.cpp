@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -162,6 +163,110 @@ TEST(EventQueue, ExecutedCountsFiredEventsOnly)
     eq.cancel(h);
     eq.run();
     EXPECT_EQ(eq.executed(), 1u);
+}
+
+namespace {
+
+/** An event queue whose events log (tag, cycle) as they fire. */
+struct SlipLog {
+    EventQueue eq;
+    std::vector<std::pair<int, Cycle>> at;
+
+    EventHandle
+    add(int tag, Cycle when)
+    {
+        return eq.schedule(when,
+                           [this, tag] { at.emplace_back(tag, eq.now()); });
+    }
+};
+
+} // namespace
+
+TEST(EventQueueSlip, SlipDueMovesEveryDueEventOneCycleInOrder)
+{
+    SlipLog q;
+    q.add(0, 5);
+    q.add(1, 5);
+    q.add(2, 6);
+    q.add(3, 5);
+    q.add(4, 7);
+    EXPECT_EQ(q.eq.slipDue(5), 3u);
+    // The slipped events join the one already at 6 in schedule order.
+    Cycle when;
+    std::uint64_t seq;
+    ASSERT_TRUE(q.eq.peekNext(when, seq));
+    EXPECT_EQ(when, 6u);
+    q.eq.run();
+    EXPECT_EQ(q.at, (std::vector<std::pair<int, Cycle>>{
+                        {0, 6}, {1, 6}, {2, 6}, {3, 6}, {4, 7}}));
+}
+
+TEST(EventQueueSlip, CancelOfASlippedEventIsNotSlippedAgain)
+{
+    SlipLog q;
+    q.add(0, 5);
+    EventHandle h = q.add(1, 5);
+    q.add(2, 5);
+    EXPECT_EQ(q.eq.slipDue(5), 3u);
+    q.eq.cancel(h);
+    q.eq.cancel(h); // Idempotent on a ready event too.
+    EXPECT_EQ(q.eq.pending(), 2u);
+    EXPECT_EQ(q.eq.slipDue(6), 2u);
+    q.eq.run();
+    EXPECT_EQ(q.at, (std::vector<std::pair<int, Cycle>>{{0, 7}, {2, 7}}));
+}
+
+TEST(EventQueueSlip, ScheduleAtOrBelowTheFloor)
+{
+    // After slipping cycle 5 the floor is 6. An event scheduled at 6
+    // orders by its sequence number among the slipped ones; one
+    // scheduled at 5 runs first, and slipping it again moves it to 6
+    // without slipping the events already there.
+    SlipLog q;
+    q.add(0, 5);
+    q.add(1, 5);
+    EXPECT_EQ(q.eq.slipDue(5), 2u);
+    q.add(2, 6);
+    q.add(3, 5);
+    q.add(4, 5);
+    EXPECT_EQ(q.eq.slipDue(5), 2u);
+    q.add(5, 5);
+    q.eq.run();
+    EXPECT_EQ(q.at, (std::vector<std::pair<int, Cycle>>{
+                        {5, 5}, {0, 6}, {1, 6}, {2, 6}, {3, 6}, {4, 6}}));
+}
+
+TEST(EventQueueSlip, DeferNextMovesOneSlippedEventBack)
+{
+    SlipLog q;
+    q.add(0, 5);
+    q.add(1, 5);
+    q.add(2, 7);
+    EXPECT_EQ(q.eq.slipDue(5), 2u);
+    Cycle when;
+    std::uint64_t seq;
+    ASSERT_TRUE(q.eq.peekNext(when, seq));
+    EXPECT_EQ(when, 6u);
+    q.eq.deferNext(7);
+    ASSERT_TRUE(q.eq.peekNext(when, seq));
+    EXPECT_EQ(when, 6u);
+    q.eq.run();
+    // Event 0 keeps its sequence number, so it still precedes 2 at 7.
+    EXPECT_EQ(q.at, (std::vector<std::pair<int, Cycle>>{
+                        {1, 6}, {0, 7}, {2, 7}}));
+}
+
+TEST(EventQueueSlip, RunStopsAtMaxCyclesWithSlippedEvents)
+{
+    SlipLog q;
+    q.add(0, 5);
+    q.add(1, 5);
+    EXPECT_EQ(q.eq.slipDue(5), 2u);
+    q.eq.run(5);
+    EXPECT_TRUE(q.at.empty());
+    q.eq.run(6);
+    EXPECT_EQ(q.at.size(), 2u);
+    EXPECT_EQ(q.eq.now(), 6u);
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

@@ -5,8 +5,10 @@
  * detector stay bit-identical. The grid is every Figure 9 workload at
  * a small scale under eager, lazy-vb and RetCon at 32 threads and
  * under DATM at 8 threads (where api::datmSupported allows it), plus
- * one service cell at dispatch bandwidth 1 whose shards slip, steal
- * and cancel events.
+ * three service cells at dispatch bandwidth 1: 4 shards that slip,
+ * steal and cancel events; a one-shard monolith whose every over-quota
+ * cycle is slipped as one batch; and a 2-cluster fleet whose steal
+ * groups keep slips one event at a time.
  *
  * Each row is the perf-style fingerprint: cycles, commits, aborts,
  * conflicts, NACKs, commit-token waits, then scheduled / executed /
@@ -66,9 +68,12 @@ formatRow(const std::string &id, const std::vector<std::uint64_t> &f)
     return s + "}},";
 }
 
-/** Service/RetCon at dispatch bandwidth 1 on 4 shards (slips, steals). */
+/**
+ * Service/RetCon at dispatch bandwidth 1 on @p shards shards, with the
+ * contention scheduler only when sharded (as the perf service cells).
+ */
 api::RunConfig
-serviceCell()
+serviceCell(unsigned shards = 4)
 {
     api::RunConfig cfg;
     cfg.workload = "service";
@@ -77,12 +82,23 @@ serviceCell()
     cfg.seed = 1;
     cfg.tm = api::retconConfig();
     cfg.tm.commitTokenArbitration = true;
-    cfg.shards = 4;
+    cfg.shards = shards;
     cfg.shardBandwidth = 1;
-    cfg.memBanks = 4;
+    cfg.memBanks = shards;
     cfg.memBankOccupancy = 8;
-    cfg.servicePartitions = 4;
-    cfg.contentionSched = true;
+    cfg.servicePartitions = shards;
+    cfg.contentionSched = shards > 1;
+    return cfg;
+}
+
+/** Two clusters of 2 shards each, 30% cross-cluster commits. */
+api::RunConfig
+fleetCell()
+{
+    api::RunConfig cfg = serviceCell(2);
+    cfg.clusters = 2;
+    cfg.nthreads = kThreads / 2; // Per cluster.
+    cfg.crossClusterFraction = 0.3;
     return cfg;
 }
 
@@ -111,6 +127,8 @@ goldenCells()
         }
     }
     cells.push_back({"service/bw1", serviceCell()});
+    cells.push_back({"service/1x1x1-bw1", serviceCell(1)});
+    cells.push_back({"service/fleet2-bw1", fleetCell()});
     return cells;
 }
 
@@ -176,6 +194,11 @@ const std::vector<GoldenRow> kGolden = {
     {"service/bw1", {25435, 160, 565, 564, 6021, 12579,
                      7954, 7814, 923, 275, 6595, 6724, 1051, 271,
                      7905, 7688, 864, 293, 8041, 7709, 884, 288}},
+    {"service/1x1x1-bw1", {58811, 160, 880, 1075, 19073, 15569,
+                           50985, 50121, 0, 348807}},
+    {"service/fleet2-bw1", {15582, 160, 382, 391, 3560, 6274,
+                            4840, 4742, 384, 597, 4581, 4497, 392, 555,
+                            4700, 4609, 357, 447, 4664, 4561, 351, 404}},
 };
 
 } // namespace
@@ -201,17 +224,29 @@ TEST(GoldenRun, GridFingerprintsAreUnchanged)
 
 TEST(GoldenRun, ServiceCellSlipsAndSteals)
 {
-    // The service row only pins the queue's slip and steal paths if
-    // they ran; conflict aborts of waiting cores exercise cancel.
-    api::RunResult r = api::runOnce(serviceCell());
-    std::uint64_t slips = 0, steals = 0;
-    for (const api::ShardSummary &s : r.shards) {
-        slips += s.queueDeferred;
-        steals += s.queueStolen;
+    // The service rows only pin the queue's slip and steal paths if
+    // they ran; conflict aborts of waiting cores exercise cancel. The
+    // monolith has no shard to steal, so every over-quota cycle there
+    // is slipped whole; the others slip one event at a time.
+    struct Expect {
+        const char *cell;
+        api::RunConfig cfg;
+        bool steals;
+    };
+    for (const Expect &e : {Expect{"service/bw1", serviceCell(), true},
+                            Expect{"service/1x1x1-bw1", serviceCell(1), false},
+                            Expect{"service/fleet2-bw1", fleetCell(), true}}) {
+        api::RunResult r = api::runOnce(e.cfg);
+        std::uint64_t slips = 0, steals = 0;
+        for (const api::ShardSummary &s : r.shards) {
+            slips += s.queueDeferred;
+            steals += s.queueStolen;
+        }
+        EXPECT_GT(slips, 0u) << e.cell;
+        EXPECT_EQ(steals > 0, e.steals) << e.cell;
+        EXPECT_GT(r.machineStats.abortsByCause[static_cast<int>(
+                      htm::AbortCause::Conflict)],
+                  0u)
+            << e.cell;
     }
-    EXPECT_GT(slips, 0u);
-    EXPECT_GT(steals, 0u);
-    EXPECT_GT(r.machineStats
-                  .abortsByCause[static_cast<int>(htm::AbortCause::Conflict)],
-              0u);
 }

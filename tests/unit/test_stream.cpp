@@ -218,6 +218,46 @@ TEST(StreamCodec, IllegalPayloadsAreRejected)
     EXPECT_FALSE(trace::decodePayload(frame + 12, out));
 }
 
+namespace {
+
+/** Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the reference. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *data, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(StreamCodec, Crc32MatchesTheStandardCheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(trace::crc32(reinterpret_cast<const unsigned char *>(check),
+                           std::strlen(check)),
+              0xCBF43926u);
+    EXPECT_EQ(trace::crc32(nullptr, 0), 0u);
+}
+
+TEST(StreamCodec, Crc32MatchesABitwiseReferenceAtEveryLengthAndOffset)
+{
+    // Every length across the 8-byte steps and the byte tail, at every
+    // alignment of the start.
+    unsigned char buf[8 + 100];
+    for (std::size_t i = 0; i < sizeof buf; ++i)
+        buf[i] = static_cast<unsigned char>(i * 131 + 17);
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 100; ++len)
+            ASSERT_EQ(trace::crc32(buf + offset, len),
+                      bitwiseCrc32(buf + offset, len))
+                << "offset " << offset << " length " << len;
+}
+
 // ---------------------------------------------------------------------
 // File round trips: writer/reader, binary vs JSON bit-exactness
 // ---------------------------------------------------------------------
