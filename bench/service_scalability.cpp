@@ -259,7 +259,6 @@ main(int argc, char **argv)
     base.memBankOccupancy = kBankOccupancy;
     base.tm.commitTokenArbitration = true;
     base.trace.enabled = true;   // Audit + per-shard repair counters.
-    base.trace.ringCapacity = 0; // Counters only; no retention.
     if (quick) {
         // Full Table-1 sizing: the service workload is cheap enough
         // to simulate that CI runs the real scale-out point (a

@@ -201,7 +201,6 @@ main(int argc, char **argv)
     api::RunConfig base = baseConfig("service");
     base.tm = api::retconConfig();
     base.trace.enabled = true;   // Audit rides both runs identically.
-    base.trace.ringCapacity = 0; // Stream/validate only; no retention.
     base.trace.validate = true;
     if (quick) {
         base.scale = 1.0; // Table-1 sizing, as service_scalability.

@@ -15,7 +15,6 @@
 
 #include "exec/cluster.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
 
 using namespace retcon;
@@ -55,29 +54,28 @@ runAudited(Word fault_xor)
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
-    trace::TraceRecorder recorder(1 << 14);
+    std::vector<trace::Record> records;
+    trace::VectorSink capture(records);
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
     trace::MultiSink sink;
-    sink.add(&recorder);
+    sink.add(&capture);
     sink.add(&validator);
     cluster.setTraceSink(&sink);
 
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     Cycle cycles = cluster.run();
 
-    std::printf("counter=%llu cycles=%llu events=%llu (%zu retained)\n",
+    std::printf("counter=%llu cycles=%llu events=%zu\n",
                 (unsigned long long)cluster.memory().readWord(kCounter),
-                (unsigned long long)cycles,
-                (unsigned long long)recorder.totalEvents(),
-                recorder.size());
+                (unsigned long long)cycles, records.size());
     std::printf("%s\n", validator.report().summary().c_str());
     for (const auto &m : validator.report().samples)
         std::printf("  %s\n", m.describe().c_str());
 
     if (fault_xor == 0) {
         std::size_t n =
-            trace::exportJsonFile(recorder, "trace_audit.jsonl");
+            trace::exportJsonFile(records, "trace_audit.jsonl");
         std::printf("exported %zu events to trace_audit.jsonl\n", n);
     }
     return validator.report();

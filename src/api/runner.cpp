@@ -4,7 +4,6 @@
 
 #include "api/datm_envelope.hpp"
 #include "sim/logging.hpp"
-#include "trace/export.hpp"
 #include "trace/shard_mux.hpp"
 #include "trace/stream.hpp"
 
@@ -154,17 +153,17 @@ runOnce(const RunConfig &cfg)
 
     // Optional provenance/audit instrumentation. The sinks must
     // outlive the run; the validator reads architectural memory, so it
-    // is built against this cluster instance. Records are captured in
-    // per-shard rings (ShardMux) and the validator consumes the merged
-    // live stream, which arrives in global order by construction.
+    // is built against this cluster instance. Every consumer hangs off
+    // the ShardMux as a live downstream and sees the complete merged
+    // stream, which arrives in global order by construction.
     std::unique_ptr<trace::ShardMux> mux;
     std::unique_ptr<trace::ReenactmentValidator> validator;
     std::unique_ptr<trace::StreamWriter> streamWriter;
+    std::unique_ptr<trace::VectorSink> capture;
     if (cfg.trace.enabled) {
         mux = std::make_unique<trace::ShardMux>(
             cluster.numShards(),
-            [&cluster](CoreId core) { return cluster.shardOf(core); },
-            cfg.trace.ringCapacity);
+            [&cluster](CoreId core) { return cluster.shardOf(core); });
         if (cfg.trace.validate) {
             validator = std::make_unique<trace::ReenactmentValidator>(
                 [&cluster](Addr a) {
@@ -173,12 +172,14 @@ runOnce(const RunConfig &cfg)
             mux->addDownstream(validator.get());
         }
         if (!cfg.trace.streamPath.empty()) {
-            // The live downstream sees the complete dense stream (the
-            // mux feeds in machine-global seq order), independent of
-            // ring retention — streaming works with ringCapacity 0.
             streamWriter = std::make_unique<trace::StreamWriter>(
                 cfg.trace.streamPath);
             mux->addDownstream(streamWriter.get());
+        }
+        if (cfg.trace.captureInto) {
+            capture =
+                std::make_unique<trace::VectorSink>(*cfg.trace.captureInto);
+            mux->addDownstream(capture.get());
         }
         cluster.setTraceSink(mux.get());
     }
@@ -300,28 +301,8 @@ runOnce(const RunConfig &cfg)
         result.traceStream.flushes = ws.flushes;
         result.traceStream.flushWallMs = ws.flushWallMs;
     }
-    if (mux) {
+    if (mux)
         result.traceEvents = mux->totalEvents();
-        if (cfg.trace.ringCapacity > 0 &&
-            (cfg.trace.captureInto ||
-             !cfg.trace.exportJsonPath.empty() ||
-             !cfg.trace.exportBinPath.empty())) {
-            std::vector<trace::Record> merged = mux->mergedSnapshot();
-            if (cfg.trace.exportSeqMin != 0 ||
-                cfg.trace.exportSeqMax != 0) {
-                merged = trace::seqWindow(merged, cfg.trace.exportSeqMin,
-                                          cfg.trace.exportSeqMax);
-            }
-            if (!cfg.trace.exportJsonPath.empty())
-                trace::exportJsonFile(merged, cfg.trace.exportJsonPath);
-            if (!cfg.trace.exportBinPath.empty())
-                trace::exportBinaryFile(merged, cfg.trace.exportBinPath);
-            if (cfg.trace.captureInto)
-                cfg.trace.captureInto->insert(
-                    cfg.trace.captureInto->end(), merged.begin(),
-                    merged.end());
-        }
-    }
     return result;
 }
 

@@ -35,51 +35,26 @@ struct TraceOptions {
     /** Reenact every commit against architectural memory. */
     bool validate = true;
 
-    /**
-     * Retain the newest this-many events *per event-queue shard* for
-     * export (0 = no rings, counters only). Total retention is up to
-     * ringCapacity * RunConfig::shards; exports merge the per-shard
-     * rings (see docs/trace-format.md).
-     */
-    std::size_t ringCapacity = 1 << 16;
-
-    /** When non-empty, export retained events after the run. */
-    std::string exportJsonPath;
-
-    /**
-     * When non-empty, export retained events as framed binary (.rtt,
-     * trace::exportBinaryFile) after the run — bit-exact with the
-     * JSON round trip (docs/streaming.md).
-     */
-    std::string exportBinPath;
+    /// Unused: kept because the benchmark driver (perf/) assigns it.
+    std::size_t ringCapacity = 0;
 
     /**
      * When non-empty, stream every record to this .rtt file WHILE the
-     * run is live (trace::StreamWriter attached as a mux downstream).
-     * Unlike the exports, this needs no ring retention — it works
-     * with ringCapacity 0 and captures the complete dense stream no
-     * matter how long the run is; RunResult::traceStream reports the
-     * writer's overhead. The streamed file re-validates incrementally
-     * via query::validateStreamFile (docs/streaming.md).
+     * run is live (trace::StreamWriter attached as a mux downstream),
+     * complete no matter how long the run is; RunResult::traceStream
+     * reports the writer's overhead. The streamed file re-validates
+     * incrementally via query::validateStreamFile (docs/streaming.md).
      */
     std::string streamPath;
 
     /**
-     * Export window on the machine-global `seq` key: only records
-     * with exportSeqMin <= seq < exportSeqMax are written
-     * (trace::seqWindow). The defaults (0, 0 = unbounded) export
-     * every retained record — the whole-buffer behaviour.
-     */
-    std::uint64_t exportSeqMin = 0;
-    std::uint64_t exportSeqMax = 0;
-
-    /**
-     * Programmatic capture: when set, the merged (seq-windowed) record
-     * snapshot is appended here after the run — the same stream the
-     * file exporters would write. This is how the what-if engine
-     * (api/whatif.hpp) and retcon-query's `smoke` subcommand get at a
-     * run's records without a filesystem round-trip. Must outlive the
-     * runOnce call; requires ringCapacity > 0 to retain anything.
+     * Programmatic capture: when set, every record is appended here
+     * live (trace::VectorSink attached as a mux downstream), in
+     * machine-global seq order — the same complete stream streamPath
+     * writes. This is how the what-if engine (api/whatif.hpp) and
+     * retcon-query's `smoke` subcommand get at a run's records; write
+     * them out with trace::exportJsonFile / exportBinaryFile. Must
+     * outlive the runOnce call.
      */
     std::vector<trace::Record> *captureInto = nullptr;
 };

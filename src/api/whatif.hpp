@@ -134,9 +134,8 @@ struct WhatIfResult {
 
 /**
  * Record @p base (tracing forced on), apply @p changes, re-run, and
- * compare. @p base's own trace options are honoured where sensible
- * (ringCapacity 0 is promoted to a full-retention default, since the
- * engine needs the records).
+ * compare the two complete captured streams. @p base's own trace
+ * options are honoured, except captureInto, which the engine owns.
  */
 WhatIfResult runWhatIf(const RunConfig &base,
                        const std::vector<KnobChange> &changes);

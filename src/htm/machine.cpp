@@ -152,13 +152,6 @@ TMMachine::~TMMachine()
 }
 
 void
-TMMachine::emitTrace(CoreId core, const char *kind, Addr addr, Word value)
-{
-    if (_trace)
-        _trace(TraceEvent{_eq.now(), core, kind, addr, value});
-}
-
-void
 TMMachine::audit(CoreId core, trace::EventKind kind, Addr addr, Word a,
                  Word b, const std::optional<rtc::SymTag> &sym,
                  rtc::CmpOp cmp, std::uint8_t aux, std::uint64_t vid)
@@ -280,7 +273,6 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
         ++_stats.nacks;
         if (requester_txnal)
             _cores[requester]->lastNackBlock = block;
-        emitTrace(requester, "nack", block, 0);
         return OpStatus::Nack;
 
       case CMPolicy::RequesterLoses:
@@ -326,7 +318,6 @@ TMMachine::doAbort(CoreId core, AbortCause cause, bool notify_exec,
     st.resetSpeculation();
     ++_stats.aborts;
     ++_stats.abortsByCause[static_cast<int>(cause)];
-    emitTrace(core, "abort", 0, static_cast<Word>(cause));
     // The abort record carries the blamed block (0 when the abort has
     // no conflicting block, e.g. constraint violations): the same key
     // the contention scheduler heats, now queryable offline as a
@@ -484,7 +475,6 @@ TMMachine::datmAbortCascade(CoreId core, AbortCause cause,
             c == AbortCause::DatmCascade)
             ++_cascadeStreak[m];
         ++_stats.abortsByCause[static_cast<int>(c)];
-        emitTrace(m, "abort", 0, static_cast<Word>(c));
         audit(m, trace::EventKind::Abort, bl, 0, 0, std::nullopt,
               rtc::CmpOp::EQ, static_cast<std::uint8_t>(c));
         bool notify = (m != core) || notify_exec;
@@ -508,7 +498,6 @@ TMMachine::onRemoteTake(CoreId victim, Addr block,
         if (rtc::IvbEntry *e = st.ivb.find(block)) {
             if (!e->lost) {
                 e->lost = true;
-                emitTrace(victim, "steal", block, 0);
                 audit(victim, trace::EventKind::BlockLost, block);
             }
         }
@@ -581,13 +570,11 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
         if (txnal)
             st.undo.record(word, _ms.memory().readWord(word), vid);
         _ms.memory().write(addr, value, size);
-        emitTrace(core, "store", addr, value);
         audit(core, trace::EventKind::Store, addr, value,
               _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
               rtc::CmpOp::EQ, 0, vid);
     } else {
         out.value = _ms.memory().read(addr, size);
-        emitTrace(core, "load", addr, out.value);
         audit(core, trace::EventKind::Load, addr, out.value);
     }
     return out;
@@ -668,7 +655,6 @@ TMMachine::txBegin(CoreId core, bool is_retry)
     _activeUids[st.uid] = core;
     st.status = TxStatus::Active;
     st.txnStartCycle = _eq.now();
-    emitTrace(core, "begin", 0, st.timestamp);
     audit(core, trace::EventKind::TxBegin, 0, st.timestamp, st.uid);
     return out;
 }
@@ -717,7 +703,6 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
         MemOpOutcome out;
         out.latency = res.latency;
         out.value = _ms.memory().read(addr, size);
-        emitTrace(core, "load", addr, out.value);
         audit(core, trace::EventKind::Load, addr, out.value);
         return out;
       }
@@ -760,7 +745,6 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
                                   ie->initWords[w]);
                     }
                 }
-                emitTrace(core, "load", addr, out.value);
                 audit(core, trace::EventKind::Load, addr, out.value);
                 return out;
             }
@@ -798,7 +782,6 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
                                         std::nullopt};
                 }
             }
-            emitTrace(core, "load", addr, out.value);
             audit(core,
                   out.sym ? trace::EventKind::SymLoad
                           : trace::EventKind::Load,
@@ -859,13 +842,11 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             out.value = extractBytes(delivered, byte_off, size);
             ++_stats.fwdReads;
             st.datmForwardedRead = true;
-            emitTrace(core, "forward", addr, out.value);
             audit(core, trace::EventKind::Forward, word, delivered,
                   _cores[producer]->uid, std::nullopt, rtc::CmpOp::EQ,
                   0, store_seq);
         } else {
             out.value = _ms.memory().read(addr, size);
-            emitTrace(core, "load", addr, out.value);
             audit(core, trace::EventKind::Load, addr, out.value);
         }
         return out;
@@ -913,7 +894,6 @@ TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
         e->eqMask |= 1u << w;
         audit(core, trace::EventKind::Pin, wordAddr(addr), words[w]);
     }
-    emitTrace(core, "load", addr, out.value);
     audit(core,
           out.sym ? trace::EventKind::SymLoad : trace::EventKind::Load,
           addr, out.value, 0, out.sym);
@@ -961,7 +941,6 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         sim_assert(put != rtc::SymbolicStoreBuffer::Put::Full,
                    "lazy write buffer is unbounded");
         st.footprint.addWrite(block);
-        emitTrace(core, "store", addr, value);
         audit(core, trace::EventKind::SymStore, word, merged);
         return MemOpOutcome{OpStatus::Ok, 1, 0, std::nullopt};
       }
@@ -976,7 +955,6 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
             if (put != rtc::SymbolicStoreBuffer::Put::Full) {
                 if (rtc::IvbEntry *e = st.ivb.find(block))
                     e->written = true;
-                emitTrace(core, "store", addr, value);
                 // aux=1 marks an overwrite of an earlier symbolic
                 // store to the same word (last writer wins at drain).
                 audit(core, trace::EventKind::SymStore, word, value, 0,
@@ -1048,7 +1026,6 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         st.undo.record(word, _ms.memory().readWord(word), vid);
         st.datmStoreSeq[word] = vid;
         _ms.memory().write(addr, value, size);
-        emitTrace(core, "store", addr, value);
         audit(core, trace::EventKind::Store, addr, value,
               _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
               rtc::CmpOp::EQ, 0, vid);
@@ -1116,7 +1093,6 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
     std::uint64_t vid = _writeSeq++;
     st.undo.record(word, _ms.memory().readWord(word), vid);
     _ms.memory().write(addr, value, size);
-    emitTrace(core, "store", addr, value);
     audit(core, trace::EventKind::Store, addr, value,
           _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
           rtc::CmpOp::EQ, 0, vid);
@@ -1329,7 +1305,6 @@ TMMachine::acquireCommitTokens(CoreId core)
             ++_stats.tokenWaits;
             ++_bankTokens[b].stats.waits;
             ++_tokenWaitsByCore[core];
-            emitTrace(core, "token-wait", b, h);
             audit(core, trace::EventKind::TokenWait, b, h, need);
             if (_contention)
                 _contention(core, tokenBlameKey(b));
@@ -1364,7 +1339,6 @@ TMMachine::acquireCommitTokens(CoreId core)
             ++_bankTokens[b].stats.waits;
             ++_tokenWaitsByCore[core];
             ++_xcTokenWaitsByCore[core];
-            emitTrace(core, "token-wait", b, h);
             audit(core, trace::EventKind::TokenWait, b, h, need);
             if (_contention)
                 _contention(core, tokenBlameKey(b));
@@ -1602,7 +1576,6 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         }
         out.latency = max_lat;
         st.commitCycles += out.latency;
-        emitTrace(core, "repair", 0, 0);
         return out;
     }
 
@@ -1646,7 +1619,6 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         Word before = _ms.memory().readWord(e.word);
         st.undo.record(e.word, before, _writeSeq++);
         _ms.memory().write(e.word, value, e.size);
-        emitTrace(core, "repair-store", e.word, value);
         audit(core, trace::EventKind::Repair, e.word, before, value,
               e.sym);
         ++st.commitSsbIdx;
@@ -1748,7 +1720,6 @@ TMMachine::finalizeCommit(CoreId core)
     _conflictHeat[core] >>= 1;
     _cascadeStreak[core] = 0;
     ++_stats.commits;
-    emitTrace(core, "commit", 0, 0);
     audit(core, trace::EventKind::Commit, 0, 0, 0, std::nullopt,
           rtc::CmpOp::EQ, commit_aux);
 

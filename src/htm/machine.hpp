@@ -101,9 +101,6 @@ class TMMachine : public mem::CoherenceListener
     /** Called when a core's transaction is aborted by a remote event. */
     using RemoteAbortFn = std::function<void(CoreId, AbortCause)>;
 
-    /** Timeline hook for the Figure 2 bench. */
-    using TraceFn = std::function<void(const TraceEvent &)>;
-
     /**
      * Contention observation hook (the feed of the exec layer's
      * hot-block tables): called with the blamed key every time a
@@ -126,7 +123,6 @@ class TMMachine : public mem::CoherenceListener
     TMMachine &operator=(const TMMachine &) = delete;
 
     void setRemoteAbortHandler(RemoteAbortFn fn) { _onRemoteAbort = fn; }
-    void setTraceHook(TraceFn fn) { _trace = fn; }
     void setContentionHook(ContentionFn fn) { _contention = std::move(fn); }
 
     /**
@@ -281,7 +277,6 @@ class TMMachine : public mem::CoherenceListener
     SharerIndex _sharers;
     std::vector<std::unique_ptr<CoreTxState>> _cores;
     RemoteAbortFn _onRemoteAbort;
-    TraceFn _trace;
     ContentionFn _contention;
     trace::TraceSink *_sink = nullptr;
     std::uint64_t _auditSeq = 1; ///< Global provenance-record order.
@@ -422,7 +417,6 @@ class TMMachine : public mem::CoherenceListener
     CommitStepOutcome finalizeCommit(CoreId core);
 
     void sampleTxnStats(CoreId core);
-    void emitTrace(CoreId core, const char *kind, Addr addr, Word value);
 
     /** Provenance emission (no-op without a sink). */
     void audit(CoreId core, trace::EventKind kind, Addr addr = 0,

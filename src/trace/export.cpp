@@ -8,6 +8,44 @@
 namespace retcon::trace {
 
 const char *
+eventKindName(EventKind k)
+{
+    switch (k) {
+      case EventKind::TxBegin: return "begin";
+      case EventKind::Load: return "load";
+      case EventKind::SymLoad: return "sym-load";
+      case EventKind::Store: return "store";
+      case EventKind::Forward: return "forward";
+      case EventKind::SymStore: return "sym-store";
+      case EventKind::Freeze: return "freeze";
+      case EventKind::Pin: return "pin";
+      case EventKind::Constraint: return "constraint";
+      case EventKind::BlockLost: return "block-lost";
+      case EventKind::CommitStart: return "commit-start";
+      case EventKind::TokenWait: return "token-wait";
+      case EventKind::CommitDrain: return "commit-drain";
+      case EventKind::Repair: return "repair";
+      case EventKind::Commit: return "commit";
+      case EventKind::Abort: return "abort";
+      case EventKind::UserMark: return "mark";
+    }
+    return "?";
+}
+
+bool
+eventKindFromName(const char *name, EventKind &out)
+{
+    for (int k = 0; k <= static_cast<int>(EventKind::UserMark); ++k) {
+        auto kind = static_cast<EventKind>(k);
+        if (std::string_view(eventKindName(kind)) == name) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
+const char *
 cmpOpName(rtc::CmpOp op)
 {
     switch (op) {
@@ -32,21 +70,6 @@ cmpOpFromName(const char *name, rtc::CmpOp &out)
         }
     }
     return false;
-}
-
-std::vector<Record>
-seqWindow(const std::vector<Record> &recs, std::uint64_t seq_min,
-          std::uint64_t seq_max)
-{
-    std::vector<Record> out;
-    for (const Record &r : recs) {
-        if (r.seq < seq_min)
-            continue;
-        if (seq_max != 0 && r.seq >= seq_max)
-            continue;
-        out.push_back(r);
-    }
-    return out;
 }
 
 void
@@ -82,18 +105,6 @@ writeJsonRecord(const Record &r, std::ostream &os)
 }
 
 std::size_t
-exportJson(const TraceRecorder &rec, std::ostream &os)
-{
-    std::size_t n = 0;
-    rec.forEach([&](const Record &r) {
-        writeJsonRecord(r, os);
-        os << '\n';
-        ++n;
-    });
-    return n;
-}
-
-std::size_t
 exportJson(const std::vector<Record> &recs, std::ostream &os)
 {
     for (const Record &r : recs) {
@@ -103,30 +114,13 @@ exportJson(const std::vector<Record> &recs, std::ostream &os)
     return recs.size();
 }
 
-namespace {
-
-template <typename Source>
 std::size_t
-exportJsonToFile(const Source &src, const std::string &path)
+exportJsonFile(const std::vector<Record> &recs, const std::string &path)
 {
     std::ofstream os(path);
     if (!os)
         fatal("cannot open trace export file %s", path.c_str());
-    return exportJson(src, os);
-}
-
-} // namespace
-
-std::size_t
-exportJsonFile(const TraceRecorder &rec, const std::string &path)
-{
-    return exportJsonToFile(rec, path);
-}
-
-std::size_t
-exportJsonFile(const std::vector<Record> &recs, const std::string &path)
-{
-    return exportJsonToFile(recs, path);
+    return exportJson(recs, os);
 }
 
 } // namespace retcon::trace

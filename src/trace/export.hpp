@@ -8,9 +8,8 @@
  * JSON Lines (one object per line) is chosen over a single array so
  * multi-gigabyte traces stream through line-oriented tools.
  *
- * Sources: a single TraceRecorder's retained ring, or any
- * vector<Record> — e.g. ShardMux::mergedSnapshot(), the globally
- * ordered merge of a sharded run's per-shard rings.
+ * Source: a captured record stream, e.g. the one
+ * api::TraceOptions::captureInto collects live (trace::VectorSink).
  */
 
 #ifndef RETCON_TRACE_EXPORT_HPP
@@ -20,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/recorder.hpp"
+#include "trace/event.hpp"
 
 namespace retcon::trace {
 
@@ -37,26 +36,10 @@ bool cmpOpFromName(const char *name, rtc::CmpOp &out);
 /** Serialize one record as a single JSON object (no newline). */
 void writeJsonRecord(const Record &r, std::ostream &os);
 
-/**
- * Window a record stream on the machine-global `seq` key: keep
- * records with seq_min <= seq < seq_max. A bound of 0 means
- * unbounded on that side, so (0, 0) copies everything — the
- * whole-buffer export behaviour. Records are assumed (and kept)
- * in their input order; on a merged snapshot that is ascending seq,
- * so the result is the contiguous sub-trace of the window
- * (docs/trace-format.md, "Windowed export").
- */
-std::vector<Record> seqWindow(const std::vector<Record> &recs,
-                              std::uint64_t seq_min,
-                              std::uint64_t seq_max);
-
-/** Stream retained records as JSON Lines. @return records written. */
-std::size_t exportJson(const TraceRecorder &rec, std::ostream &os);
+/** Stream records as JSON Lines. @return records written. */
 std::size_t exportJson(const std::vector<Record> &recs, std::ostream &os);
 
 /** Write to a file; fatal()s when the file cannot be opened. */
-std::size_t exportJsonFile(const TraceRecorder &rec,
-                           const std::string &path);
 std::size_t exportJsonFile(const std::vector<Record> &recs,
                            const std::string &path);
 

@@ -6,8 +6,8 @@
  * attached, instrumentation reduces to a single null check per
  * event site and no Record is ever constructed (zero cost when
  * disabled). MultiSink fans one event stream out to several
- * consumers (e.g. a ring-buffer recorder plus the reenactment
- * validator).
+ * consumers (e.g. the reenactment validator plus a stream writer);
+ * VectorSink captures the complete stream in memory.
  */
 
 #ifndef RETCON_TRACE_SINK_HPP
@@ -51,6 +51,18 @@ class MultiSink final : public TraceSink
 
   private:
     std::vector<TraceSink *> _children;
+};
+
+/** Live capture: appends every record to a caller-owned vector. */
+class VectorSink final : public TraceSink
+{
+  public:
+    explicit VectorSink(std::vector<Record> &out) : _out(out) {}
+
+    void onEvent(const Record &r) override { _out.push_back(r); }
+
+  private:
+    std::vector<Record> &_out;
 };
 
 } // namespace retcon::trace

@@ -223,7 +223,7 @@ class StreamReader
  * Export @p recs as one .rtt stream (the binary sibling of
  * exportJsonFile). The dense header flag is set when
  * the records' seqs are actually consecutive — true for a complete
- * capture, false for a windowed or wrapped snapshot.
+ * capture, false for a filtered record vector.
  * @return records written.
  */
 std::size_t exportBinaryFile(const std::vector<Record> &recs,

@@ -471,7 +471,6 @@ main(int argc, char **argv)
         base.clusters = clusters;
         base.crossClusterFraction = xc_fraction;
         base.trace.enabled = audit;
-        base.trace.ringCapacity = 0; // Audit only; no event retention.
         base.annotatePhases = annotate_phases;
         tasks.push_back([&row, base] {
             auto t0 = std::chrono::steady_clock::now();
@@ -601,8 +600,9 @@ main(int argc, char **argv)
             const scenario::Scenario *sc =
                 scenario::scenarioByName(row.name);
             scenario::Plan plan;
+            const api::RunConfig defaults; // The sweep keeps its seed.
             scenario::Env env;
-            env.seed = api::RunConfig{}.seed; // sweep keeps the default
+            env.seed = defaults.seed;
             env.scale = scale;
             env.nthreads = nthreads * clusters;
             env.clusters = clusters;

@@ -18,7 +18,7 @@
 #include "query/loader.hpp"
 #include "query/replay.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
+#include "trace/sink.hpp"
 
 using namespace retcon;
 using namespace retcon::exec;
@@ -48,8 +48,9 @@ recordCounterRun(bool annotate = false)
     cfg.tm.mode = htm::TMMode::Retcon;
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
-    trace::TraceRecorder ring(1 << 16);
-    cluster.setTraceSink(&ring);
+    std::vector<trace::Record> recs;
+    trace::VectorSink capture(recs);
+    cluster.setTraceSink(&capture);
     cluster.start([annotate](WorkerCtx &ctx) -> Task<void> {
         if (annotate)
             ctx.annotate(kPhaseMark);
@@ -64,9 +65,6 @@ recordCounterRun(bool annotate = false)
     cluster.run();
     EXPECT_EQ(cluster.memory().readWord(kCounter),
               Word{kThreads} * kIters);
-    std::vector<trace::Record> recs;
-    ring.forEach([&](const trace::Record &r) { recs.push_back(r); });
-    EXPECT_EQ(ring.dropped(), 0u);
     return recs;
 }
 
@@ -329,6 +327,26 @@ TEST(WhatIf, ConflictKnobDivergesAtOrAfterTheFrontier)
     EXPECT_TRUE(w.variantResult.validation.ok);
     EXPECT_TRUE(w.baseResult.reenact.ok());
     EXPECT_TRUE(w.variantResult.reenact.ok());
+}
+
+TEST(WhatIf, ComparesTheWholeStreamPastTheOldRingSize)
+{
+    // The retcon-query whatif defaults at a scale whose runs emit far
+    // more records than one 65,536-record ring holds: the engine must
+    // compare both complete streams from the run's first record.
+    api::RunConfig cfg;
+    cfg.workload = "service";
+    cfg.nthreads = 8;
+    cfg.scale = 1.3;
+    cfg.trace.enabled = true;
+    api::WhatIfResult w = api::runWhatIf(cfg, {{"backoff", "linear"}});
+    ASSERT_TRUE(w.ok) << w.error;
+    ASSERT_GT(w.baseResult.traceEvents, std::uint64_t{1} << 16);
+    EXPECT_EQ(w.recorded.size(), w.baseResult.traceEvents);
+    EXPECT_EQ(w.variant.size(), w.variantResult.traceEvents);
+    EXPECT_TRUE(w.reachHeld);
+    ASSERT_FALSE(w.recorded.empty());
+    EXPECT_EQ(w.recorded.front().seq, 1u); // The machine's first seq.
 }
 
 TEST(WhatIf, EverythingClassKnobReachesTheWholeStream)

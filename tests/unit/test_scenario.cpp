@@ -81,7 +81,6 @@ scenarioConfig(const std::string &scenarioName)
     cfg.nthreads = 4;
     cfg.tm = api::retconConfig();
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0; // Audit only; no event retention.
     return cfg;
 }
 
@@ -297,7 +296,6 @@ TEST(DatmEnvelope, IntruderThreadBoundRunsAudited)
     cfg.tm = api::eagerConfig();
     cfg.tm.mode = htm::TMMode::DATM;
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0;
     ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 8, 1));
     api::RunResult r = runClean(cfg, "intruder datm 0.25/8");
     EXPECT_GT(r.reenact.forwardedCommitsChecked, 0u);
@@ -339,7 +337,6 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm = api::eagerConfig();
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
-        cfg.trace.ringCapacity = 0;
         ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 4, 1));
         api::RunResult r = runClean(cfg, "intruder datm 0.2");
         EXPECT_GT(r.reenact.forwardedCommitsChecked, 0u);
@@ -352,7 +349,6 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm = api::eagerConfig();
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
-        cfg.trace.ringCapacity = 0;
         ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 4, 1));
         runClean(cfg, "service datm 0.6");
     }

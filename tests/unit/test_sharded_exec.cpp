@@ -1,27 +1,28 @@
 /**
  * @file
  * End-to-end tests for the sharded cluster: shard and bank counts must
- * never change simulated results (bit-identical runs and byte-identical
- * merged traces for a fixed seed), the per-shard TraceRecorders must
- * merge into one globally ordered trace, the ReenactmentValidator must
- * stay sound over the merged stream with N > 1 shards — including
- * catching deliberately corrupted repairs (faultInjectRepairXor) and
- * forwards (faultInjectForwardXor) — the service workload must conserve
- * its invariants under sharding and dispatch-bandwidth modeling, and
- * repeated in-process runs of one config must be identical.
+ * never change simulated results (bit-identical runs and record-identical
+ * traces for a fixed seed), the live-captured stream must be globally
+ * ordered, complete and identical to the streamed .rtt file, the
+ * per-shard counters must count only their own cores' records, the
+ * ReenactmentValidator must stay sound over the merged stream with
+ * N > 1 shards — including catching deliberately corrupted repairs
+ * (faultInjectRepairXor) and forwards (faultInjectForwardXor) — the
+ * service workload must conserve its invariants under sharding and
+ * dispatch-bandwidth modeling, and repeated in-process runs of one
+ * config must be identical.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "api/runner.hpp"
 #include "exec/cluster.hpp"
+#include "query/loader.hpp"
 #include "trace/reenact.hpp"
 #include "trace/shard_mux.hpp"
 
@@ -59,12 +60,13 @@ struct ShardedRun {
     std::uint64_t commits = 0;
     std::uint64_t executed = 0;
     trace::ReenactReport report;
-    std::vector<trace::Record> merged;
+    std::vector<trace::Record> records;
     std::uint64_t muxEvents = 0;
     std::uint64_t muxRepairs = 0;
 };
 
-/** Contended-counter run on a sharded cluster with mux + validator. */
+/** Contended-counter run on a sharded cluster: mux + validator +
+ *  live capture. */
 ShardedRun
 runSharded(unsigned nshards, Word fault_xor = 0, unsigned bandwidth = 0,
            htm::TMMode mode = htm::TMMode::Retcon,
@@ -80,29 +82,29 @@ runSharded(unsigned nshards, Word fault_xor = 0, unsigned bandwidth = 0,
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
+    ShardedRun out;
     trace::ShardMux mux(
-        nshards, [&cluster](CoreId c) { return cluster.shardOf(c); },
-        /*ring_capacity=*/1 << 16);
+        nshards, [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
+    trace::VectorSink capture(out.records);
     mux.addDownstream(&validator);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
 
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
-    ShardedRun out;
     out.cycles = cluster.run();
     out.counter = cluster.memory().readWord(kCounter);
     out.commits = cluster.aggregateStats().commits;
     out.executed = cluster.eventQueue().executed();
     out.report = validator.report();
-    out.merged = mux.mergedSnapshot();
     out.muxEvents = mux.totalEvents();
     for (unsigned s = 0; s < nshards; ++s)
         out.muxRepairs += mux.counters(s).repairs;
     return out;
 }
 
-/** Record-for-record equality of two merged traces. */
+/** Record-for-record equality of two traces. */
 bool
 sameTrace(const std::vector<trace::Record> &a,
           const std::vector<trace::Record> &b)
@@ -176,31 +178,25 @@ fingerprint(const api::RunResult &r, bool layout = true)
     return h;
 }
 
-/** An audited runOnce and its exported JSON trace. */
+/** An audited runOnce and its captured record stream. */
 struct ApiRun {
     api::RunResult r;
-    std::string trace;
+    std::vector<trace::Record> trace;
 };
 
 ApiRun
 runApi(api::RunConfig cfg, const std::string &tag)
 {
-    cfg.trace.enabled = true;
-    const std::string path = "sharded_exec_" + tag + ".json";
-    cfg.trace.exportJsonPath = path;
     ApiRun out;
+    cfg.trace.enabled = true;
+    cfg.trace.captureInto = &out.trace;
     out.r = api::runOnce(cfg);
     EXPECT_TRUE(out.r.validation.ok) << tag << ": "
                                      << out.r.validation.note;
     EXPECT_EQ(out.r.reenact.mismatches, 0u)
         << tag << ": " << out.r.reenact.summary();
     EXPECT_EQ(out.r.reenact.forwardedCommitsSkipped, 0u) << tag;
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    out.trace = os.str();
-    EXPECT_FALSE(out.trace.empty()) << tag;
-    std::remove(path.c_str());
+    EXPECT_EQ(out.trace.size(), out.r.traceEvents) << tag;
     return out;
 }
 
@@ -225,8 +221,8 @@ TEST(ShardedExec, ShardCountDoesNotChangeCommittedState)
         EXPECT_EQ(sharded.commits, one.commits) << n << " shards";
         EXPECT_EQ(sharded.executed, one.executed) << n << " shards";
         EXPECT_EQ(sharded.muxEvents, one.muxEvents) << n << " shards";
-        EXPECT_TRUE(sameTrace(sharded.merged, one.merged))
-            << n << " shards: merged trace diverged";
+        EXPECT_TRUE(sameTrace(sharded.records, one.records))
+            << n << " shards: trace diverged";
         EXPECT_EQ(sharded.report.mismatches, 0u)
             << sharded.report.summary();
     }
@@ -236,8 +232,8 @@ TEST(ShardedExec, WorkloadGridBitIdenticalAcrossShardsAndBanks)
 {
     // Real workloads through the public API: with dispatch bandwidth
     // and bank occupancy unmodeled, every (shards, banks) point must
-    // reproduce the (1, 1) run's simulated results and its exported
-    // trace byte for byte.
+    // reproduce the (1, 1) run's simulated results and its captured
+    // trace record for record.
     for (const char *workload : {"service", "intruder"}) {
         api::RunConfig cfg;
         cfg.workload = workload;
@@ -259,8 +255,8 @@ TEST(ShardedExec, WorkloadGridBitIdenticalAcrossShardsAndBanks)
                 EXPECT_EQ(fingerprint(run.r, false),
                           fingerprint(ref.r, false))
                     << "RunResult fingerprint diverged";
-                EXPECT_EQ(run.trace, ref.trace)
-                    << "exported trace bytes diverged";
+                EXPECT_TRUE(sameTrace(run.trace, ref.trace))
+                    << "captured trace diverged";
             }
         }
     }
@@ -289,7 +285,7 @@ TEST(ShardedExec, PartitionsClustersAndSchedulingAuditClean)
     EXPECT_GT(part.r.machineStats.tokenWaits, 0u);
     ApiRun again = runApi(cfg, "svc_part_again");
     EXPECT_EQ(fingerprint(again.r), fingerprint(part.r));
-    EXPECT_EQ(again.trace, part.trace);
+    EXPECT_TRUE(sameTrace(again.trace, part.trace));
 
     api::RunConfig fcfg;
     fcfg.workload = "service";
@@ -305,14 +301,14 @@ TEST(ShardedExec, PartitionsClustersAndSchedulingAuditClean)
     fcfg.shards = 2;
     ApiRun fleet = runApi(fcfg, "svc_fleet_s2");
     EXPECT_EQ(fingerprint(fleet.r, false), fingerprint(fref.r, false));
-    EXPECT_EQ(fleet.trace, fref.trace);
+    EXPECT_TRUE(sameTrace(fleet.trace, fref.trace));
 }
 
 TEST(ShardedExec, RepeatedRunsIdentical)
 {
     // Twenty in-process runs of one config: any state leaking between
     // runs (a static cache, an allocator cursor) shows up as drift.
-    // Fingerprints AND trace bytes must all be identical.
+    // Fingerprints AND traces must all be identical.
     api::RunConfig cfg;
     cfg.workload = "service";
     cfg.nthreads = 8;
@@ -324,14 +320,15 @@ TEST(ShardedExec, RepeatedRunsIdentical)
     for (int i = 1; i < 20; ++i) {
         ApiRun rep = runApi(cfg, "det_" + std::to_string(i));
         ASSERT_EQ(fingerprint(rep.r), fingerprint(first.r)) << "run " << i;
-        ASSERT_EQ(rep.trace, first.trace) << "run " << i;
+        ASSERT_TRUE(sameTrace(rep.trace, first.trace)) << "run " << i;
     }
 
     ShardedRun counter = runSharded(4, 0, /*bandwidth=*/1);
     for (int i = 1; i < 20; ++i) {
         ShardedRun rep = runSharded(4, 0, /*bandwidth=*/1);
         ASSERT_EQ(rep.cycles, counter.cycles) << "run " << i;
-        ASSERT_TRUE(sameTrace(rep.merged, counter.merged)) << "run " << i;
+        ASSERT_TRUE(sameTrace(rep.records, counter.records))
+            << "run " << i;
         ASSERT_EQ(rep.report.mismatches, 0u) << "run " << i;
     }
 }
@@ -381,20 +378,40 @@ TEST(ShardedExec, MergedShardTracesPassReenactmentValidator)
     EXPECT_GT(out.muxRepairs, 0u);
 }
 
-TEST(ShardedExec, MergedSnapshotIsGloballyOrderedAndComplete)
+TEST(ShardedExec, LiveCaptureMatchesTheStreamedFile)
 {
-    ShardedRun out = runSharded(4);
-    // Ring capacity exceeds the event count: the merge must contain
-    // every event exactly once, in strictly increasing machine order.
-    ASSERT_EQ(out.merged.size(), out.muxEvents);
-    for (std::size_t i = 1; i < out.merged.size(); ++i) {
-        EXPECT_LT(out.merged[i - 1].seq, out.merged[i].seq);
-        EXPECT_LE(out.merged[i - 1].cycle, out.merged[i].cycle);
+    // One audited 4-shard run feeding both live sinks: the captured
+    // vector and the .rtt file must hold the same complete stream.
+    api::RunConfig cfg;
+    cfg.workload = "service";
+    cfg.nthreads = 8;
+    cfg.scale = 0.05;
+    cfg.tm = api::retconConfig();
+    cfg.shards = 4;
+    cfg.trace.enabled = true;
+    std::vector<trace::Record> captured;
+    cfg.trace.captureInto = &captured;
+    cfg.trace.streamPath = ::testing::TempDir() + "sharded_exec_live.rtt";
+    api::RunResult r = api::runOnce(cfg);
+    ASSERT_TRUE(r.reenact.ok()) << r.reenact.summary();
+
+    query::LoadResult streamed = query::loadTraceFile(cfg.trace.streamPath);
+    std::remove(cfg.trace.streamPath.c_str());
+    ASSERT_TRUE(streamed.ok) << streamed.error;
+    EXPECT_TRUE(sameTrace(captured, streamed.records));
+    ASSERT_EQ(captured.size(), r.traceEvents);
+    EXPECT_EQ(r.traceStream.records, r.traceEvents);
+    // Every event exactly once, in strictly increasing machine order.
+    for (std::size_t i = 1; i < captured.size(); ++i) {
+        ASSERT_LT(captured[i - 1].seq, captured[i].seq) << "record " << i;
+        ASSERT_LE(captured[i - 1].cycle, captured[i].cycle) << "record " << i;
     }
 }
 
-TEST(ShardedExec, ShardRecordersOnlyHoldTheirCoresRecords)
+TEST(ShardedExec, ShardCountersCountOnlyTheirCoresRecords)
 {
+    // Recount a captured stream by home shard: each shard's lifetime
+    // event counter must equal the records its own cores emitted.
     ClusterConfig cfg;
     cfg.numThreads = kThreads;
     cfg.numShards = 4;
@@ -402,15 +419,19 @@ TEST(ShardedExec, ShardRecordersOnlyHoldTheirCoresRecords)
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
     trace::ShardMux mux(
-        4, [&cluster](CoreId c) { return cluster.shardOf(c); }, 1 << 16);
+        4, [&cluster](CoreId c) { return cluster.shardOf(c); });
+    std::vector<trace::Record> records;
+    trace::VectorSink capture(records);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
+    std::vector<std::uint64_t> recount(4, 0);
+    for (const trace::Record &r : records)
+        ++recount[cluster.shardOf(r.core)];
     for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_GT(mux.recorder(s).size(), 0u) << "shard " << s;
-        mux.recorder(s).forEach([&](const trace::Record &r) {
-            EXPECT_EQ(cluster.shardOf(r.core), s);
-        });
+        EXPECT_GT(recount[s], 0u) << "shard " << s;
+        EXPECT_EQ(recount[s], mux.counters(s).events) << "shard " << s;
     }
 }
 
@@ -458,7 +479,7 @@ TEST(ShardedExec, DatmForwardingBitIdenticalAcrossShards)
     ASSERT_EQ(one.report.forwardedCommitsSkipped, 0u);
     ShardedRun four = runSharded(4, 0, 0, htm::TMMode::DATM);
     EXPECT_EQ(four.cycles, one.cycles);
-    EXPECT_TRUE(sameTrace(four.merged, one.merged));
+    EXPECT_TRUE(sameTrace(four.records, one.records));
     EXPECT_EQ(four.report.forwardsChecked, one.report.forwardsChecked);
     EXPECT_EQ(four.report.forwardedCommitsSkipped, 0u);
     EXPECT_EQ(four.report.mismatches, 0u) << four.report.summary();
@@ -476,17 +497,20 @@ TEST(ShardedExec, DatmChainsActuallyCrossShardBoundaries)
     cfg.tm.mode = htm::TMMode::DATM;
     Cluster cluster(cfg);
     trace::ShardMux mux(
-        4, [&cluster](CoreId c) { return cluster.shardOf(c); }, 1 << 16);
+        4, [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
+    std::vector<trace::Record> records;
+    trace::VectorSink capture(records);
     mux.addDownstream(&validator);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
 
     std::unordered_map<std::uint64_t, CoreId> uid_core;
     std::uint64_t cross_shard = 0, forwards = 0;
-    for (const trace::Record &r : mux.mergedSnapshot()) {
+    for (const trace::Record &r : records) {
         if (r.kind == trace::EventKind::TxBegin) {
             uid_core[r.b] = r.core;
         } else if (r.kind == trace::EventKind::Forward) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the provenance & repair-audit subsystem (src/trace):
- * ring-buffer wraparound, the disabled-sink fast path (identical
+ * live capture, the disabled-sink fast path (identical
  * simulated timing with tracing on/off), reenactment agreement on the
  * contended shared-counter workload in every TM mode, detection of
  * deliberately corrupted repairs, and the exporters.
@@ -14,7 +14,6 @@
 #include "exec/cluster.hpp"
 #include "query/loader.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
 
 using namespace retcon;
@@ -66,13 +65,12 @@ struct RunOutput {
     Cycle cycles = 0;
     Word counter = 0;
     trace::ReenactReport report;
-    std::uint64_t events = 0;
+    std::vector<trace::Record> records; ///< Empty unless traced.
 };
 
 RunOutput
 runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
-           bool bounded = false, trace::TraceRecorder *ring = nullptr,
-           Word fwd_fault_xor = 0)
+           bool bounded = false, Word fwd_fault_xor = 0)
 {
     ClusterConfig cfg;
     cfg.numThreads = kThreads;
@@ -82,77 +80,27 @@ runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
+    RunOutput out;
     trace::MultiSink sink;
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
+    trace::VectorSink capture(out.records);
     if (traced) {
         sink.add(&validator);
-        if (ring)
-            sink.add(ring);
+        sink.add(&capture);
         cluster.setTraceSink(&sink);
     }
 
     cluster.start([bounded](WorkerCtx &ctx) {
         return threadMain(ctx, bounded);
     });
-    RunOutput out;
     out.cycles = cluster.run();
     out.counter = cluster.memory().readWord(kCounter);
     out.report = validator.report();
-    if (ring)
-        out.events = ring->totalEvents();
     return out;
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Ring buffer
-// ---------------------------------------------------------------------
-
-TEST(TraceRecorder, RetainsEverythingBelowCapacity)
-{
-    trace::TraceRecorder rec(8);
-    for (Word i = 0; i < 5; ++i)
-        rec.onEvent(trace::Record{i, 0, trace::EventKind::UserMark, 0, i,
-                                  0, {}, false, rtc::CmpOp::EQ, 0});
-    EXPECT_EQ(rec.size(), 5u);
-    EXPECT_EQ(rec.totalEvents(), 5u);
-    EXPECT_EQ(rec.dropped(), 0u);
-    auto snap = rec.snapshot();
-    ASSERT_EQ(snap.size(), 5u);
-    for (Word i = 0; i < 5; ++i)
-        EXPECT_EQ(snap[i].a, i);
-}
-
-TEST(TraceRecorder, WraparoundKeepsNewestInOrder)
-{
-    trace::TraceRecorder rec(4);
-    for (Word i = 0; i < 11; ++i)
-        rec.onEvent(trace::Record{i, 0, trace::EventKind::UserMark, 0, i,
-                                  0, {}, false, rtc::CmpOp::EQ, 0});
-    EXPECT_EQ(rec.size(), 4u);
-    EXPECT_EQ(rec.totalEvents(), 11u);
-    EXPECT_EQ(rec.dropped(), 7u);
-    auto snap = rec.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    // The newest 4 records (7,8,9,10), oldest first.
-    for (Word i = 0; i < 4; ++i)
-        EXPECT_EQ(snap[i].a, 7 + i);
-}
-
-TEST(TraceRecorder, ClearResetsButKeepsCapacity)
-{
-    trace::TraceRecorder rec(4);
-    for (Word i = 0; i < 6; ++i)
-        rec.onEvent(trace::Record{});
-    rec.clear();
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_EQ(rec.totalEvents(), 0u);
-    EXPECT_EQ(rec.capacity(), 4u);
-    rec.onEvent(trace::Record{});
-    EXPECT_EQ(rec.size(), 1u);
-}
 
 // ---------------------------------------------------------------------
 // Disabled fast path
@@ -253,16 +201,15 @@ TEST(Reenactment, CorruptedLazyDrainIsFlagged)
 // Export
 // ---------------------------------------------------------------------
 
-TEST(TraceExport, JsonCoversAllRetainedRecords)
+TEST(TraceExport, JsonCoversAllCapturedRecords)
 {
-    trace::TraceRecorder ring(1 << 12);
-    RunOutput out =
-        runCounter(htm::TMMode::Retcon, true, 0, false, &ring);
-    ASSERT_GT(out.events, 0u);
+    std::vector<trace::Record> recs =
+        runCounter(htm::TMMode::Retcon, true).records;
+    ASSERT_GT(recs.size(), 0u);
 
     std::ostringstream json;
-    std::size_t njson = trace::exportJson(ring, json);
-    EXPECT_EQ(njson, ring.size());
+    std::size_t njson = trace::exportJson(recs, json);
+    EXPECT_EQ(njson, recs.size());
     // One JSON object per line.
     std::size_t lines = 0;
     for (char c : json.str())
@@ -282,9 +229,10 @@ TEST(TraceExport, AnnotationMarksRoundTripThroughJson)
     // with machine events (docs/trace-format.md).
     ClusterConfig cfg;
     cfg.numThreads = 2;
-    trace::TraceRecorder ring(1 << 10);
+    std::vector<trace::Record> recs;
+    trace::VectorSink capture(recs);
     Cluster cluster(cfg);
-    cluster.setTraceSink(&ring);
+    cluster.setTraceSink(&capture);
     cluster.start([](WorkerCtx &ctx) -> Task<void> {
         ctx.annotate(0xBEE5 + ctx.tid());
         co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
@@ -294,13 +242,12 @@ TEST(TraceExport, AnnotationMarksRoundTripThroughJson)
     cluster.run();
 
     std::uint64_t marks = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs)
         marks += r.kind == trace::EventKind::UserMark;
-    });
     EXPECT_EQ(marks, 4u); // Two per thread.
 
     std::ostringstream json;
-    trace::exportJson(ring, json);
+    trace::exportJson(recs, json);
     EXPECT_NE(json.str().find("\"kind\":\"mark\""), std::string::npos);
     EXPECT_NE(json.str().find("\"annotation\":" +
                               std::to_string(0xBEE5)),
@@ -321,9 +268,10 @@ TEST(TraceExport, AnnotatedRunRoundTripsThroughJson)
     // silently corrupt every downstream query.
     ClusterConfig cfg;
     cfg.numThreads = 2;
-    trace::TraceRecorder ring(1 << 10);
+    std::vector<trace::Record> recs;
+    trace::VectorSink capture(recs);
     Cluster cluster(cfg);
-    cluster.setTraceSink(&ring);
+    cluster.setTraceSink(&capture);
     cluster.start([](WorkerCtx &ctx) -> Task<void> {
         ctx.annotate(0xFACE);
         co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
@@ -331,18 +279,15 @@ TEST(TraceExport, AnnotatedRunRoundTripsThroughJson)
     });
     cluster.run();
 
-    std::vector<trace::Record> original;
-    ring.forEach([&](const trace::Record &r) { original.push_back(r); });
-
     std::ostringstream json;
-    trace::exportJson(ring, json);
+    trace::exportJson(recs, json);
     std::istringstream jsonIn(json.str());
     query::LoadResult fromJson = query::loadJson(jsonIn);
     ASSERT_TRUE(fromJson.ok) << fromJson.error;
-    ASSERT_EQ(fromJson.records.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
+    ASSERT_EQ(fromJson.records.size(), recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i)
         EXPECT_TRUE(
-            trace::recordsIdentical(fromJson.records[i], original[i]))
+            trace::recordsIdentical(fromJson.records[i], recs[i]))
             << "JSON line " << i;
 }
 
@@ -355,18 +300,17 @@ TEST(TraceDatm, ForwardedCommitsCarryTheDatmForwardedFlag)
     // Every commit that consumed forwarded data is flagged, and every
     // flagged commit's chain is re-derived by the validator (the
     // Forward records name the producing attempt + store).
-    trace::TraceRecorder ring(1 << 14);
-    RunOutput out =
-        runCounter(htm::TMMode::DATM, true, 0, false, &ring);
+    RunOutput out = runCounter(htm::TMMode::DATM, true);
+    const std::vector<trace::Record> &recs = out.records;
     EXPECT_EQ(out.counter, Word(kThreads * kIters));
     std::uint64_t commits = 0, flagged = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs) {
         if (r.kind != trace::EventKind::Commit)
-            return;
+            continue;
         ++commits;
         if (r.aux & trace::kCommitAuxDatmForwarded)
             ++flagged;
-    });
+    }
     EXPECT_EQ(commits, std::uint64_t(kThreads * kIters));
     // The contended counter forwards constantly under DATM.
     EXPECT_GT(flagged, 0u);
@@ -377,7 +321,7 @@ TEST(TraceDatm, ForwardedCommitsCarryTheDatmForwardedFlag)
 
     // And the flag round-trips through the JSON export.
     std::ostringstream json;
-    trace::exportJson(ring, json);
+    trace::exportJson(recs, json);
     EXPECT_NE(json.str().find("\"datm_forwarded\":true"),
               std::string::npos);
     EXPECT_NE(json.str().find("\"datm_forwarded\":false"),
@@ -399,22 +343,22 @@ TEST(TraceDatm, ForwardingChainsAreReDerived)
 
 TEST(TraceDatm, ForwardRecordsNameProducerAndValueId)
 {
-    trace::TraceRecorder ring(1 << 14);
-    runCounter(htm::TMMode::DATM, true, 0, false, &ring);
+    std::vector<trace::Record> recs =
+        runCounter(htm::TMMode::DATM, true).records;
     std::uint64_t forwards = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs) {
         if (r.kind != trace::EventKind::Forward)
-            return;
+            continue;
         ++forwards;
         EXPECT_NE(r.b, 0u);   // Producer attempt uid.
         EXPECT_NE(r.vid, 0u); // Producing store's write seq.
         EXPECT_EQ(r.addr % kWordBytes, 0u);
-    });
+    }
     EXPECT_GT(forwards, 0u);
 
     // Forward records round-trip through the JSON export.
     std::ostringstream json;
-    trace::exportJson(ring, json);
+    trace::exportJson(recs, json);
     EXPECT_NE(json.str().find("\"kind\":\"forward\""),
               std::string::npos);
     EXPECT_NE(json.str().find("\"producer_uid\":"), std::string::npos);
@@ -430,7 +374,7 @@ TEST(TraceDatm, CorruptedForwardedValueIsFlagged)
     // committed state. Do not assert the final counter here — the
     // injected corruption really does poison the computed sums.
     RunOutput out = runCounter(htm::TMMode::DATM, true, 0, false,
-                               nullptr, /*fwd_xor=*/0x20);
+                               /*fwd_xor=*/0x20);
     EXPECT_GT(out.report.forwardsChecked, 0u);
     EXPECT_GT(out.report.mismatches, 0u);
     ASSERT_FALSE(out.report.samples.empty());
@@ -583,11 +527,10 @@ TEST(TraceDatmProtocol, LinksWithoutTheCommitFlagAreFlagged)
 
 TEST(TraceDatm, NonDatmCommitsNeverCarryTheFlag)
 {
-    trace::TraceRecorder ring(1 << 14);
-    runCounter(htm::TMMode::Retcon, true, 0, false, &ring);
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r :
+         runCounter(htm::TMMode::Retcon, true).records) {
         if (r.kind == trace::EventKind::Commit) {
             EXPECT_EQ(r.aux & trace::kCommitAuxDatmForwarded, 0);
         }
-    });
+    }
 }

@@ -19,27 +19,32 @@
 //   --seed S      (default 1)         --scale F     (default 0.1)
 //   --partitions P (service state partitions, default 1)
 //   --annotate-phases  (service phase marks, default off)
+// The valued options are range-checked like the knobs of the same name
+// (api::applyKnob); a bad value exits 2 naming the option.
 // Each --set knob=value is one change; see api::applyKnob for the
 // knob vocabulary. With no --set the variant is the base itself and
 // the report must show a bit-identical run whose reach check holds —
 // the determinism self-check.
 //
 // smoke: self-contained CI check — record a quick contended service
-// run, export, reload, exercise every query surface, then run both
-// whatif proofs (no-change bit-identity and a conflict-class change
-// with a sound divergence frontier). Exits nonzero on any failure.
+// run, stream and export it, reload, exercise every query surface,
+// then run both whatif proofs (no-change bit-identity and a
+// conflict-class change with a sound divergence frontier). Exits
+// nonzero on any failure.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/whatif.hpp"
 #include "query/index.hpp"
 #include "query/loader.hpp"
 #include "query/replay.hpp"
+#include "trace/export.hpp"
 
 using namespace retcon;
 
@@ -255,6 +260,13 @@ cmdWhatIf(int argc, char **argv)
     base.scale = 0.1;
     base.trace.enabled = true;
     std::vector<api::KnobChange> changes;
+    // Run options that are also what-if knobs; api::applyKnob
+    // range-checks their values.
+    static const std::pair<const char *, const char *> kRunKnobs[] = {
+        {"--workload", "workload"}, {"--nthreads", "nthreads"},
+        {"--seed", "seed"},         {"--scale", "scale"},
+        {"--partitions", "servicePartitions"},
+    };
     for (int i = 0; i < argc; ++i) {
         auto need = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
@@ -263,18 +275,18 @@ cmdWhatIf(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (std::strcmp(argv[i], "--workload") == 0) {
-            base.workload = need("--workload");
-        } else if (std::strcmp(argv[i], "--nthreads") == 0) {
-            base.nthreads =
-                static_cast<unsigned>(std::atoi(need("--nthreads")));
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            base.seed = std::strtoull(need("--seed"), nullptr, 0);
-        } else if (std::strcmp(argv[i], "--scale") == 0) {
-            base.scale = std::atof(need("--scale"));
-        } else if (std::strcmp(argv[i], "--partitions") == 0) {
-            base.servicePartitions =
-                static_cast<unsigned>(std::atoi(need("--partitions")));
+        const char *knob = nullptr;
+        for (const auto &[flag, name] : kRunKnobs)
+            if (std::strcmp(argv[i], flag) == 0)
+                knob = name;
+        if (knob) {
+            const char *flag = argv[i];
+            const char *value = need(flag);
+            if (!api::applyKnob(base, knob, value)) {
+                std::fprintf(stderr, "whatif: bad value '%s' for %s\n",
+                             value, flag);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--annotate-phases") == 0) {
             base.annotatePhases = true;
         } else if (std::strcmp(argv[i], "--set") == 0) {
@@ -326,16 +338,19 @@ cmdSmoke()
     cfg.trace.enabled = true;
     std::vector<trace::Record> recorded;
     cfg.trace.captureInto = &recorded;
-    cfg.trace.exportJsonPath = "query_smoke_trace.json";
-    cfg.trace.exportBinPath = "query_smoke_trace.rtt";
+    cfg.trace.streamPath = "query_smoke_trace.rtt";
     api::RunResult r = api::runOnce(cfg);
+    cfg.trace.streamPath.clear();
     check(r.validation.ok, "recorded run validates");
     check(r.reenact.ok(), "recorded run audits clean");
-    check(!recorded.empty(), "records captured programmatically");
+    check(!recorded.empty() && recorded.size() == r.traceEvents,
+          "records captured programmatically");
+    trace::exportJsonFile(recorded, "query_smoke_trace.json");
 
-    // 2. Both exports round-trip through the loader bit-for-bit: the
-    //    JSON Lines text form and the framed binary .rtt form must
-    //    decode to the same records the run captured.
+    // 2. Both files round-trip through the loader bit-for-bit: the
+    //    JSON Lines export of the captured records and the .rtt file
+    //    streamed live must decode to the same records the run
+    //    captured.
     query::LoadResult loaded =
         query::loadTraceFile("query_smoke_trace.json");
     if (!loaded.ok)
@@ -351,7 +366,7 @@ cmdSmoke()
     if (!loadedBin.ok)
         std::fprintf(stderr, "  load error: %s\n",
                      loadedBin.error.c_str());
-    check(loadedBin.ok, "binary .rtt export loads");
+    check(loadedBin.ok, "streamed .rtt file loads");
     bool binIdentical = loadedBin.records.size() == recorded.size();
     for (std::size_t i = 0; binIdentical && i < recorded.size(); ++i)
         binIdentical = trace::recordsIdentical(loadedBin.records[i],
