@@ -3,8 +3,10 @@
  * Shared scaffolding for the paper-reproduction bench binaries.
  *
  * Every bench accepts two environment overrides:
- *   RETCON_SCALE    input-size multiplier (default 0.5)
+ *   RETCON_SCALE    input-size multiplier (default 0.4)
  *   RETCON_THREADS  simulated core count  (default 32, as in Table 1)
+ * A value that is not a number > 0 (scale) or an integer 1-64
+ * (threads) exits 2 naming the variable.
  */
 
 #ifndef RETCON_BENCH_COMMON_HPP
@@ -14,6 +16,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "api/parse.hpp"
 #include "api/runner.hpp"
 
 namespace retcon::bench {
@@ -22,14 +25,14 @@ inline double
 envScale()
 {
     const char *s = std::getenv("RETCON_SCALE");
-    return s ? std::atof(s) : 0.4;
+    return s ? api::positiveOrExit("RETCON_SCALE", s) : 0.4;
 }
 
 inline unsigned
 envThreads()
 {
     const char *s = std::getenv("RETCON_THREADS");
-    return s ? static_cast<unsigned>(std::atoi(s)) : 32;
+    return s ? api::countOrExit("RETCON_THREADS", s, 1, 64) : 32;
 }
 
 inline api::RunConfig
@@ -45,12 +48,15 @@ baseConfig(const std::string &workload)
 inline void
 printHeader(const char *experiment, const char *paper_ref)
 {
+    // Parsed first, so a bad override exits before any output.
+    const unsigned threads = envThreads();
+    const double scale = envScale();
     std::printf("==================================================\n");
     std::printf("%s\n", experiment);
     std::printf("reproduces: %s\n", paper_ref);
     std::printf("machine: %u cores, scale %.2f "
                 "(RETCON_THREADS / RETCON_SCALE to override)\n",
-                envThreads(), envScale());
+                threads, scale);
     std::printf("==================================================\n");
 }
 

@@ -1,36 +1,14 @@
 #include "api/whatif.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+
+#include "api/parse.hpp"
 
 namespace retcon::api {
 
 namespace {
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end == s.c_str() + s.size();
-}
 
 bool
 parseBool(const std::string &s, bool &out)

@@ -267,16 +267,24 @@ Core::accountTo(Cat cat)
 }
 
 void
-Core::schedule(Cycle delay, Cat cat, std::function<void()> fn)
+Core::schedule(Cycle delay, Cat cat, Next next)
 {
     sim_assert(!_pendingEvent.valid(),
                "core %u double-scheduled an event", _id);
     _pendingCat = cat;
-    _pendingFn = std::move(fn);
+    _next = next;
     // A core has at most one event in flight, so its category and
-    // continuation live here and the queued thunk fits std::function's
-    // small buffer (no allocation per event).
-    _pendingEvent = _eq.scheduleAfter(delay, [this]() { firePending(); });
+    // continuation live here. Scheduled from inside that event, the
+    // running event re-arms its own queue slot; otherwise a new event
+    // is queued whose thunk fits std::function's small buffer (no
+    // allocation per event).
+    if (_firing) {
+        _firing = false;
+        _pendingEvent = _eq.rearmAfter(delay);
+    } else {
+        _pendingEvent =
+            _eq.scheduleAfter(delay, [this]() { firePending(); });
+    }
 }
 
 void
@@ -284,9 +292,42 @@ Core::firePending()
 {
     _pendingEvent = EventHandle{};
     accountTo(_pendingCat);
-    // Moved out first: the continuation may schedule the next event.
-    std::function<void()> fn = std::move(_pendingFn);
-    fn();
+    _firing = true;
+    switch (_next) {
+      case Next::StartProgram:
+        _program.emplace(_programFactory(*_ctx));
+        _program->start();
+        postResume();
+        break;
+      case Next::BeginRetry:
+        beginTxnAttempt(true);
+        break;
+      case Next::LaunchBody:
+        launchBody();
+        break;
+      case Next::MemOp:
+        tryMemOp(false);
+        break;
+      case Next::MemOpRetry:
+        tryMemOp(true);
+        break;
+      case Next::Resume:
+        resumeCoroutine(_resumePoint);
+        break;
+      case Next::CommitStep:
+        commitLoop(false);
+        break;
+      case Next::CommitRetry:
+        commitLoop(true);
+        break;
+      case Next::Deliver:
+        deliverResult();
+        break;
+      case Next::Cleanup:
+        cleanupAttempt();
+        break;
+    }
+    _firing = false;
 }
 
 void
@@ -297,11 +338,7 @@ Core::start(ProgramFactory factory)
     // captures, so the callable is kept for the core's lifetime.
     _programFactory = std::move(factory);
     _lastCycle = _eq.now();
-    schedule(0, Cat::Busy, [this]() {
-        _program.emplace(_programFactory(*_ctx));
-        _program->start();
-        postResume();
-    });
+    schedule(0, Cat::Busy, Next::StartProgram);
 }
 
 void
@@ -365,11 +402,10 @@ Core::beginTxnAttempt(bool retry)
 {
     htm::MemOpOutcome out = _tm.txBegin(_id, retry);
     if (out.status == htm::OpStatus::Nack) {
-        schedule(out.latency, Cat::Stall,
-                 [this]() { beginTxnAttempt(true); });
+        schedule(out.latency, Cat::Stall, Next::BeginRetry);
         return;
     }
-    schedule(out.latency, Cat::Commit, [this]() { launchBody(); });
+    schedule(out.latency, Cat::Commit, Next::LaunchBody);
 }
 
 void
@@ -392,7 +428,7 @@ Core::issueMemOp(MemOpAwait *op, std::coroutine_handle<> h)
         Cycle pending = _tx._pending;
         if (pending > 0) {
             _tx._pending = 0;
-            schedule(pending, Cat::Work, [this]() { tryMemOp(false); });
+            schedule(pending, Cat::Work, Next::MemOp);
             return;
         }
     }
@@ -408,7 +444,14 @@ Core::tryMemOp(bool is_retry)
         // Doomed snapshot execution (zombie) backstop: discard the
         // attempt; the retry re-reads fresh values.
         _tm.abortSelf(_id, htm::AbortCause::Zombie);
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
+        return;
+    }
+    Cycle nack_latency = 0;
+    if (is_retry && op->txnal &&
+        _tm.leanRetry(_id, op->addr, op->isStore, nack_latency)) {
+        // Still NACKed by the same older holder (see leanRetry).
+        schedule(nack_latency, Cat::Stall, Next::MemOpRetry);
         return;
     }
     if (op->txnal) {
@@ -430,15 +473,14 @@ Core::tryMemOp(bool is_retry)
       case htm::OpStatus::Ok:
         op->out = out;
         schedule(out.latency, op->txnal ? Cat::Work : Cat::Busy,
-                 [this]() { resumeCoroutine(_resumePoint); });
+                 Next::Resume);
         return;
       case htm::OpStatus::Nack:
-        schedule(out.latency, Cat::Stall,
-                 [this]() { tryMemOp(true); });
+        schedule(out.latency, Cat::Stall, Next::MemOpRetry);
         return;
       case htm::OpStatus::AbortSelf:
         // The machine already rolled us back.
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
         return;
     }
 }
@@ -452,8 +494,7 @@ Core::issueWork(Cycle cycles, bool txnal, std::coroutine_handle<> h)
         total += _tx._pending;
         _tx._pending = 0;
     }
-    schedule(total, txnal ? Cat::Work : Cat::Busy,
-             [this]() { resumeCoroutine(_resumePoint); });
+    schedule(total, txnal ? Cat::Work : Cat::Busy, Next::Resume);
 }
 
 void
@@ -466,7 +507,9 @@ Core::enterBarrier(std::coroutine_handle<> h)
 void
 Core::resumeFromBarrier(std::coroutine_handle<> h, Cycle delay)
 {
-    schedule(delay, Cat::Barrier, [this, h]() { resumeCoroutine(h); });
+    // The core is parked at the barrier, so _resumePoint is free.
+    _resumePoint = h;
+    schedule(delay, Cat::Barrier, Next::Resume);
 }
 
 void
@@ -475,20 +518,14 @@ Core::commitLoop(bool is_retry)
     htm::CommitStepOutcome out = _tm.commitStep(_id, is_retry);
     switch (out.status) {
       case htm::OpStatus::Ok:
-        if (out.done) {
-            schedule(out.latency, Cat::Commit,
-                     [this]() { deliverResult(); });
-        } else {
-            schedule(out.latency, Cat::Commit,
-                     [this]() { commitLoop(false); });
-        }
+        schedule(out.latency, Cat::Commit,
+                 out.done ? Next::Deliver : Next::CommitStep);
         return;
       case htm::OpStatus::Nack:
-        schedule(out.latency, Cat::Stall,
-                 [this]() { commitLoop(true); });
+        schedule(out.latency, Cat::Stall, Next::CommitRetry);
         return;
       case htm::OpStatus::AbortSelf:
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
         return;
     }
 }
@@ -534,7 +571,7 @@ Core::cleanupAttempt()
     if (_deferHook)
         delay += _deferHook(_id);
     if (delay > 0) {
-        schedule(delay, Cat::Stall, [this]() { beginTxnAttempt(true); });
+        schedule(delay, Cat::Stall, Next::BeginRetry);
         return;
     }
     beginTxnAttempt(true);
@@ -551,7 +588,7 @@ Core::onRemoteAbort([[maybe_unused]] htm::AbortCause cause)
         _eq.cancel(_pendingEvent);
         _pendingEvent = EventHandle{};
     }
-    schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+    schedule(0, Cat::Stall, Next::Cleanup);
 }
 
 } // namespace retcon::exec

@@ -304,6 +304,20 @@ class Core
     /** Internal accounting categories, resolved at commit/abort. */
     enum class Cat { Busy, Work, Stall, Commit, Barrier };
 
+    /** What the core does when its pending event fires. */
+    enum class Next {
+        StartProgram, ///< Create and start the thread program.
+        BeginRetry,   ///< Re-begin the transaction (beginTxnAttempt).
+        LaunchBody,   ///< Run a fresh attempt of the body.
+        MemOp,        ///< Issue the pending memory op.
+        MemOpRetry,   ///< Retry the NACKed pending memory op.
+        Resume,       ///< Resume the coroutine at _resumePoint.
+        CommitStep,   ///< Next step of the commit process.
+        CommitRetry,  ///< Retry the NACKed commit step.
+        Deliver,      ///< Hand the committed result to the program.
+        Cleanup,      ///< Account an aborted attempt and restart.
+    };
+
     CoreId _id;
     ShardRef _eq; ///< Home-shard scheduling handle (global clock).
     htm::TMMachine &_tm;
@@ -324,7 +338,9 @@ class Core
     bool _finished = false;
     EventHandle _pendingEvent;
     Cat _pendingCat = Cat::Busy; ///< Accounting of the pending event.
-    std::function<void()> _pendingFn; ///< Its continuation.
+    Next _next = Next::StartProgram; ///< Its continuation.
+    /// This core's event is running and has not been re-armed yet.
+    bool _firing = false;
     std::uint64_t _attemptOps = 0;
 
     // Accounting.
@@ -336,7 +352,7 @@ class Core
 
     CoreStats _stats;
 
-    void schedule(Cycle delay, Cat cat, std::function<void()> fn);
+    void schedule(Cycle delay, Cat cat, Next next);
     void firePending();
     void accountTo(Cat cat);
     void resumeCoroutine(std::coroutine_handle<> h);

@@ -855,6 +855,36 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
     panic("unreachable txLoad mode");
 }
 
+bool
+TMMachine::leanRetry(CoreId core, Addr addr, bool is_write,
+                     Cycle &nack_latency)
+{
+    if (!_leanRetries || _cfg.cmPolicy != CMPolicy::OldestWins)
+        return false;
+    if (_cfg.mode != TMMode::Eager &&
+        (is_write ||
+         (_cfg.mode != TMMode::LazyVB && _cfg.mode != TMMode::Retcon)))
+        return false;
+    const CoreTxState &st = *_cores[core];
+    Addr block = blockAddr(addr);
+    // The last attempt reached resolveConflict for this block (a token
+    // NACK would leave the overflow pending), so the SSB and IVB
+    // lookups ahead of it missed; only this core's own accesses change
+    // those, and it has issued none since.
+    if (st.status != TxStatus::Active || st.earlyViolation ||
+        (st.overflowPending && !st.overflowed) ||
+        st.lastNackBlock != block)
+        return false;
+    // A retry on the same block is not a fresh conflict: the full path
+    // neither counts it nor trains the predictor, and NACKs exactly
+    // when an older holder remains.
+    if (!findConflicts(core, block, is_write).anyOlder)
+        return false;
+    ++_stats.nacks;
+    nack_latency = nackLatency(core);
+    return true;
+}
+
 MemOpOutcome
 TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
                              bool is_retry)

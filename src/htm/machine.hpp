@@ -174,6 +174,23 @@ class TMMachine : public mem::CoherenceListener
                          unsigned size = 8, bool is_retry = false);
 
     /**
+     * The NACK-retry fast path of a transactional load (@p is_write
+     * false) or store at @p addr whose last attempt was NACKed. It
+     * applies only where the full txLoad/txStore retry reaches
+     * resolveConflict(core, true, block, is_write, true) through the
+     * requester's own state alone: OldestWins, the same lastNackBlock,
+     * no early violation or pending overflow, and an Eager load or
+     * store or a LazyVB/Retcon load (a first symbolic load and an
+     * untracked load resolve the same way; LazyVB/Retcon stores are
+     * excluded because the predictor can flip their path). When an
+     * older holder still conflicts it does the full retry's NACK
+     * bookkeeping and @return true with @p nack_latency set; otherwise
+     * it changes nothing and @return false (run the full retry).
+     */
+    bool leanRetry(CoreId core, Addr addr, bool is_write,
+                   Cycle &nack_latency);
+
+    /**
      * Drive one step of the commit process (pre-commit repair walk for
      * RETCON/LazyVB, write-buffer drain for Lazy, finalization for
      * all). Call repeatedly until `done` or `AbortSelf`.
@@ -324,6 +341,10 @@ class TMMachine : public mem::CoherenceListener
 
     /// DATM: uid -> core for still-active attempts.
     std::unordered_map<std::uint64_t, CoreId> _activeUids;
+
+    /// leanRetry() applies; tests switch it off (MachineTestPeer) to
+    /// compare a run against the full retry path.
+    bool _leanRetries = true;
 
     // ---- Internal helpers -------------------------------------------
     struct ConflictInfo {

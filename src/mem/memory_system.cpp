@@ -43,7 +43,7 @@ MemorySystem::bankVisit(Addr block)
         if (stall > 0) {
             ++bs.stalled;
             bs.stallCycles += stall;
-            _stats.add("bank_stalls");
+            ++_stats.bankStalls;
         }
     }
     if (_bankFault.period != 0 && _clock &&
@@ -133,14 +133,14 @@ MemorySystem::fill(CoreId core, Addr block)
     if (auto evicted = cc.l2.insert(block)) {
         cc.l1.invalidate(*evicted);
         _directory.dropCore(*evicted, core);
-        _stats.add("l2_evictions");
+        ++_stats.l2Evictions;
         if (_listener)
             _listener->onCapacityEvict(core, *evicted);
     }
     if (auto evicted = cc.l1.insert(block)) {
         // L1 victim stays in L2 (inclusive), no permission change.
         (void)evicted;
-        _stats.add("l1_evictions");
+        ++_stats.l1Evictions;
     }
 }
 
@@ -183,7 +183,7 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
         res.l1Hit = true;
         cc.l1.touch(block);
         cc.l2.touch(block);
-        _stats.add("l1_hits");
+        ++_stats.l1Hits;
         return res;
     }
     if (perm && cc.l2.contains(block)) {
@@ -192,11 +192,11 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
         // Refill L1 from L2.
         if (auto evicted = cc.l1.insert(block))
             (void)evicted;
-        _stats.add("l2_hits");
+        ++_stats.l2Hits;
         return res;
     }
 
-    _stats.add(is_write ? "write_misses" : "read_misses");
+    ++(is_write ? _stats.writeMisses : _stats.readMisses);
     // The miss visits the block's home directory bank; a busy bank
     // slips the request (0 when occupancy is unmodeled).
     res.latency += bankVisit(block);
@@ -212,8 +212,8 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
                                          net::kDataMsgWords, now);
             res.latency += wire;
             res.remoteCluster = true;
-            _stats.add("xc_accesses");
-            _stats.add("xc_access_cycles", static_cast<double>(wire));
+            ++_stats.xcAccesses;
+            _stats.xcAccessCycles += wire;
         }
     }
     DirEntry pre = _directory.lookup(block);
@@ -255,9 +255,9 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     }
 
     if (res.remoteTransfer)
-        _stats.add("cache_to_cache");
+        ++_stats.cacheToCache;
     if (res.dramAccess)
-        _stats.add("dram_accesses");
+        ++_stats.dramAccesses;
 
     fill(core, block);
     return res;

@@ -27,7 +27,6 @@
 #include "mem/directory.hpp"
 #include "mem/sparse_memory.hpp"
 #include "net/interconnect.hpp"
-#include "sim/stats.hpp"
 #include "sim/types.hpp"
 
 namespace retcon::mem {
@@ -97,6 +96,21 @@ struct AccessResult {
 class MemorySystem
 {
   public:
+    /** Aggregate access counters (hits/misses/transfers). */
+    struct AccessStats {
+        std::uint64_t l1Hits = 0;
+        std::uint64_t l2Hits = 0;
+        std::uint64_t readMisses = 0;
+        std::uint64_t writeMisses = 0;
+        std::uint64_t l1Evictions = 0;
+        std::uint64_t l2Evictions = 0;
+        std::uint64_t cacheToCache = 0; ///< Misses served by a remote cache.
+        std::uint64_t dramAccesses = 0;
+        std::uint64_t bankStalls = 0;   ///< Misses that found the bank busy.
+        std::uint64_t xcAccesses = 0;   ///< Misses homed on another cluster.
+        std::uint64_t xcAccessCycles = 0; ///< Their wire cycles.
+    };
+
     /** Per-bank request/occupancy counters (see MemTimingConfig). */
     struct BankStats {
         std::uint64_t requests = 0;    ///< Directory visits (misses).
@@ -205,7 +219,7 @@ class MemorySystem
     const CacheConfig &cacheConfig() const { return _cacheConfig; }
 
     /** Aggregate access statistics (hits/misses/transfers). */
-    const StatSet &stats() const { return _stats; }
+    const AccessStats &stats() const { return _stats; }
 
     /** Request/occupancy counters for bank @p b. */
     const BankStats &bankStats(unsigned b) const { return _bankStats[b]; }
@@ -229,7 +243,7 @@ class MemorySystem
     CoherenceListener *_listener = nullptr;
     const SimClock *_clock = nullptr;
     net::Interconnect *_net = nullptr;
-    StatSet _stats;
+    AccessStats _stats;
 
     /// Bank-occupancy model: per-bank busy-until cycle + counters.
     std::vector<Cycle> _bankFreeAt;

@@ -73,20 +73,59 @@ EventHandle
 EventQueue::scheduleSeq(Cycle when, std::uint64_t seq, Callback cb)
 {
     sim_assert(when >= _now, "scheduling into the past");
-    auto slot = static_cast<std::uint32_t>(_slots.size());
-    if (!_free.empty()) {
-        slot = _free.back();
-        _free.pop_back();
-    } else {
-        sim_assert(slot < kMaxSlots, "event slots exhausted");
-        _slots.emplace_back();
-    }
+    std::uint32_t slot = allocSlot();
     Slot &s = _slots[slot];
     s.cb = std::move(cb);
-    _heap.push_back(Key{when, seq, slot, s.gen});
-    siftUp(_heap, _heap.size() - 1, byTime);
+    pushPending(Key{when, seq, slot, s.gen});
     ++_live;
     return EventHandle{(std::uint64_t(s.gen) << kSlotBits) | slot};
+}
+
+EventHandle
+EventQueue::rearmCurrentSeq(Cycle when, std::uint64_t seq)
+{
+    sim_assert(_running.slot != kNoSlot, "re-arm outside a running event");
+    sim_assert(_rearmed == kNoSlot, "running event re-armed twice");
+    sim_assert(when >= _now, "scheduling into the past");
+    // The running slot keeps the callback, unless its generation
+    // wrapped as it fired: then the slot is dead and a fresh one takes
+    // the callback when the run ends.
+    std::uint32_t slot = _running.slot;
+    if (_slots[slot].gen == 0)
+        slot = allocSlot();
+    _rearmed = slot;
+    const Key k{when, seq, slot, _slots[slot].gen};
+    if (!_heap.empty() && _heap.front().slot == _running.slot &&
+        _heap.front().gen == _running.gen) {
+        // The fired key is still the pending top: re-key it in place.
+        _heap.front() = k;
+        siftDown(_heap, 0, byTime);
+    } else {
+        pushPending(k);
+    }
+    ++_live;
+    return EventHandle{(std::uint64_t(k.gen) << kSlotBits) | slot};
+}
+
+std::uint32_t
+EventQueue::allocSlot()
+{
+    if (!_free.empty()) {
+        std::uint32_t slot = _free.back();
+        _free.pop_back();
+        return slot;
+    }
+    auto slot = static_cast<std::uint32_t>(_slots.size());
+    sim_assert(slot < kMaxSlots, "event slots exhausted");
+    _slots.emplace_back();
+    return slot;
+}
+
+void
+EventQueue::pushPending(const Key &k)
+{
+    _heap.push_back(k);
+    siftUp(_heap, _heap.size() - 1, byTime);
 }
 
 void
@@ -94,10 +133,8 @@ EventQueue::retire(std::uint32_t slot)
 {
     Slot &s = _slots[slot];
     s.cb = nullptr;
-    // A slot whose generation would wrap is never reused, so no handle
-    // or heap key can ever alias a later event.
-    if (++s.gen != 0)
-        _free.push_back(slot);
+    ++s.gen;
+    release(slot);
 }
 
 void
@@ -163,8 +200,7 @@ EventQueue::deferNext(Cycle new_when)
         sim_assert(new_when >= _floor, "deferring into the past");
         Key k = takeReady();
         k.when = new_when;
-        _heap.push_back(k);
-        siftUp(_heap, _heap.size() - 1, byTime);
+        pushPending(k);
         return;
     }
     sim_assert(!_heap.empty(), "deferNext on a drained queue");
@@ -214,35 +250,62 @@ EventQueue::cancel(EventHandle h)
     auto gen = static_cast<std::uint32_t>(h.id >> kSlotBits);
     if (slot >= _slots.size() || _slots[slot].gen != gen)
         return; // Already fired or cancelled.
-    if (_slots[slot].ready) {
-        _slots[slot].ready = false;
+    Slot &s = _slots[slot];
+    if (s.ready) {
+        s.ready = false;
         --_readyLive;
     }
-    retire(slot);
     --_live;
+    if (slot == _rearmed) {
+        // The running callback's own re-arm: step() still holds the
+        // callback and drops it when the run ends. Only a fresh slot
+        // (the wrapped-generation case) is free to go now.
+        _rearmed = kNoSlot;
+        ++s.gen;
+        if (slot != _running.slot)
+            release(slot);
+        return;
+    }
+    retire(slot);
 }
 
 bool
 EventQueue::step()
 {
+    sim_assert(_running.slot == kNoSlot, "step() from inside a callback");
     Key k{};
     if (!_ready.empty() && readyLeads()) {
         k = takeReady();
     } else {
         if (!pruneTop())
             return false;
+        // The key stays at the top while its callback runs, so a
+        // re-arm can re-key it in place.
         k = _heap.front();
-        popTop();
     }
     sim_assert(k.when >= _now, "event heap out of order");
     _now = k.when;
-    // Take the callback out before running it: it may schedule events
-    // that reuse this slot or grow the slab.
-    Callback cb = std::move(_slots[k.slot].cb);
-    retire(k.slot);
+    // Take the callback out before running it: it may grow the slab.
+    // The slot itself stays off the free list until the run ends.
+    Slot &s = _slots[k.slot];
+    Callback cb = std::move(s.cb);
+    ++s.gen; // Handles naming the fired event go stale.
     --_live;
     ++_executed;
+    _running = k;
     cb();
+    if (_rearmed != kNoSlot) {
+        _slots[_rearmed].cb = std::move(cb);
+        if (_rearmed != k.slot)
+            release(k.slot);
+    } else {
+        release(k.slot);
+    }
+    if (!_heap.empty() && _heap.front().slot == k.slot &&
+        _heap.front().gen == k.gen)
+        popTop(); // Not re-armed in place: the fired key leaves.
+    _running.slot = kNoSlot;
+    _rearmed = kNoSlot;
     return true;
 }
 

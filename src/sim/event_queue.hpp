@@ -41,6 +41,20 @@
  * and each shard has counted the same slips. While the ready heap is
  * empty, peekNext() and step() take the pending-heap path alone, so a
  * run with no batched slip pays one emptiness test per call.
+ *
+ * Re-arms. An owner with one event in flight at a time (a simulated
+ * core) schedules its next event from inside the running one. Instead
+ * of retiring the running event's slot and filling a fresh one,
+ * rearmCurrent() hands the running event a new key: it keeps its slot
+ * and callback and takes a new generation and the next sequence
+ * number, exactly what schedule() would have taken at that point, so
+ * the order of every event is unchanged. step() keeps the fired key
+ * at the pending top while the callback runs; a re-arm that finds it
+ * still there re-keys it in place (one sift-down instead of a pop and
+ * a push), and otherwise pushes a new key (the event came from the
+ * ready heap, or the callback pruned the top). A re-armed event is an
+ * ordinary live event afterwards: it is cancelled, slipped, counted
+ * and executed like any other.
  */
 
 #ifndef RETCON_SIM_EVENT_QUEUE_HPP
@@ -127,6 +141,28 @@ class EventQueue : public SimClock
     }
 
     /**
+     * From inside a running event's callback, schedule that same
+     * callback again at absolute cycle @p when (see "Re-arms" above).
+     * At most once per run, unless the re-armed event was cancelled.
+     * @return a handle usable with cancel().
+     */
+    EventHandle
+    rearmCurrent(Cycle when)
+    {
+        return rearmCurrentSeq(when, _nextSeq++);
+    }
+
+    /** rearmCurrent() with a caller-supplied sequence number. */
+    EventHandle rearmCurrentSeq(Cycle when, std::uint64_t seq);
+
+    /** Re-arm the running event @p delta cycles from now. */
+    EventHandle
+    rearmAfter(Cycle delta)
+    {
+        return rearmCurrent(_now + delta);
+    }
+
+    /**
      * Cancel a previously scheduled event. Idempotent, and a no-op on
      * a handle whose event already fired.
      */
@@ -158,10 +194,14 @@ class EventQueue : public SimClock
         std::uint32_t slot;
         std::uint32_t gen;
 
+        /// (when, seq) order as one 128-bit compare: the sifts' branch
+        /// on it is data-dependent, and this form compiles to a
+        /// compare-and-borrow the compiler need not branch on.
         bool
         before(const Key &o) const
         {
-            return when != o.when ? when < o.when : seq < o.seq;
+            using U = unsigned __int128;
+            return ((U(when) << 64) | seq) < ((U(o.when) << 64) | o.seq);
         }
     };
 
@@ -187,10 +227,34 @@ class EventQueue : public SimClock
     std::size_t _live = 0;
     std::uint64_t _executed = 0;
 
+    /// While a callback runs: its fired key, and the slot its live
+    /// re-arm holds (kNoSlot when none). _running.slot is kNoSlot
+    /// between callbacks.
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+    Key _running{0, 0, kNoSlot, 0};
+    std::uint32_t _rearmed = kNoSlot;
+
     bool stale(const Key &k) const { return _slots[k.slot].gen != k.gen; }
 
     /** Release @p slot: bump its generation and recycle it. */
     void retire(std::uint32_t slot);
+
+    /**
+     * Recycle @p slot, whose generation was already bumped. A slot
+     * whose generation wrapped to 0 is never reused, so no handle or
+     * heap key can ever alias a later event.
+     */
+    void
+    release(std::uint32_t slot)
+    {
+        if (_slots[slot].gen != 0)
+            _free.push_back(slot);
+    }
+
+    /** A free slot (recycled or new) for a new event. */
+    std::uint32_t allocSlot();
+
+    void pushPending(const Key &k);
 
     /** Drop stale keys from the pending top. @return false if empty. */
     bool pruneTop();

@@ -45,6 +45,18 @@ ShardedEventQueue::schedule(unsigned shard, Cycle when, Callback cb)
     return h;
 }
 
+EventHandle
+ShardedEventQueue::rearmCurrent(unsigned shard, Cycle when)
+{
+    sim_assert(shard < _cfg.nshards, "shard %u out of range", shard);
+    sim_assert(when >= _now, "scheduling into the global past");
+    EventHandle h = _shards[shard]->rearmCurrentSeq(when, _nextSeq++);
+    sim_assert(h.id <= kIdMask, "per-shard event ids exhausted");
+    ++_stats[shard].scheduled;
+    h.id |= static_cast<std::uint64_t>(shard) << kShardShift;
+    return h;
+}
+
 void
 ShardedEventQueue::cancel(EventHandle h)
 {

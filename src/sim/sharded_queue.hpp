@@ -108,6 +108,21 @@ class ShardedEventQueue final : public SimClock
         return schedule(shard, _now + delta, std::move(cb));
     }
 
+    /**
+     * From inside the callback of the event running on @p shard,
+     * schedule that callback again at absolute cycle @p when (see
+     * EventQueue::rearmCurrent). It takes the next global sequence
+     * number, as schedule() would, and is counted as scheduled.
+     */
+    EventHandle rearmCurrent(unsigned shard, Cycle when);
+
+    /** rearmCurrent() @p delta cycles after global now. */
+    EventHandle
+    rearmAfter(unsigned shard, Cycle delta)
+    {
+        return rearmCurrent(shard, _now + delta);
+    }
+
     /** Cancel a previously scheduled event. Idempotent. */
     void cancel(EventHandle h);
 
@@ -195,6 +210,13 @@ class ShardRef
     scheduleAfter(Cycle delta, ShardedEventQueue::Callback cb)
     {
         return _q->scheduleAfter(_shard, delta, std::move(cb));
+    }
+
+    /** Re-arm the running event (which must be homed here). */
+    EventHandle
+    rearmAfter(Cycle delta)
+    {
+        return _q->rearmAfter(_shard, delta);
     }
 
     void cancel(EventHandle h) { _q->cancel(h); }

@@ -11,10 +11,9 @@
 #define RETCON_SIM_STATS_HPP
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace retcon {
@@ -118,12 +117,26 @@ class Histogram
         _total += o._total;
     }
 
-    /** Smallest v such that at least frac of samples are <= v. */
+    /**
+     * Nearest-rank percentile: the smallest v such that at least
+     * ceil(frac * total) samples (and at least one) are <= v. 0 when
+     * empty; the bucket count when the rank lies in the overflow.
+     */
     std::uint64_t
     percentile(double frac) const
     {
-        std::uint64_t need =
-            static_cast<std::uint64_t>(frac * static_cast<double>(_total));
+        if (_total == 0)
+            return 0;
+        const double rank = frac * static_cast<double>(_total);
+        // Read the ceiling through the rounding error of the product:
+        // 0.7 * 10 is 7.000000000000001, and its rank is 7, not 8.
+        const double near = std::round(rank);
+        const double exact =
+            std::abs(rank - near) <= 1e-9 * std::max(1.0, rank)
+                ? near
+                : std::ceil(rank);
+        const std::uint64_t need = std::clamp<std::uint64_t>(
+            static_cast<std::uint64_t>(std::max(exact, 0.0)), 1, _total);
         std::uint64_t seen = _underflow; // Negatives precede bucket 0.
         for (std::size_t i = 0; i < _buckets.size(); ++i) {
             seen += _buckets[i];
@@ -138,40 +151,6 @@ class Histogram
     std::uint64_t _underflow = 0;
     std::uint64_t _overflow = 0;
     std::uint64_t _total = 0;
-};
-
-/** Named scalar counters, grouped for report printing. */
-class StatSet
-{
-  public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void
-    add(const std::string &name, double delta = 1.0)
-    {
-        _values[name] += delta;
-    }
-
-    /** Current value of @p name (0 when absent). */
-    double
-    get(const std::string &name) const
-    {
-        auto it = _values.find(name);
-        return it == _values.end() ? 0.0 : it->second;
-    }
-
-    const std::map<std::string, double> &all() const { return _values; }
-
-    void
-    merge(const StatSet &o)
-    {
-        for (const auto &[k, v] : o._values)
-            _values[k] += v;
-    }
-
-    void reset() { _values.clear(); }
-
-  private:
-    std::map<std::string, double> _values;
 };
 
 } // namespace retcon

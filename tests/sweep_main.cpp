@@ -70,6 +70,11 @@
 //   --trace-keep  keep the streamed .rtt files on disk (for the CI
 //                 corruption negative control and manual
 //                 retcon-query sessions).
+// Numeric values are parsed strictly and range-checked: scale > 0,
+// nthreads, --shards, --mem-banks and --clusters 1-64, --host-threads
+// 0-64 (0 and 1 run serially), --xc-fraction 0-1. A bad value exits 2
+// naming the option ("bad value 'abc' for scale ..."). --shards above
+// nthreads is lowered to nthreads.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -84,6 +89,7 @@
 #include <vector>
 
 #include "api/datm_envelope.hpp"
+#include "api/parse.hpp"
 #include "api/runner.hpp"
 #include "query/replay.hpp"
 #include "scenario/scenario.hpp"
@@ -293,33 +299,42 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "--shards requires a count\n");
                 return 1;
             }
-            shards = static_cast<unsigned>(std::atoi(argv[++i]));
+            shards = api::countOrExit("--shards", argv[++i], 1, 64);
         } else if (std::strcmp(argv[i], "--mem-banks") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--mem-banks requires a count\n");
                 return 1;
             }
-            banks = static_cast<unsigned>(std::atoi(argv[++i]));
+            banks = api::countOrExit("--mem-banks", argv[++i], 1, 64);
         } else if (std::strcmp(argv[i], "--clusters") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--clusters requires a count\n");
                 return 1;
             }
-            clusters = static_cast<unsigned>(std::atoi(argv[++i]));
+            clusters = api::countOrExit("--clusters", argv[++i], 1, 64);
         } else if (std::strcmp(argv[i], "--xc-fraction") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
                              "--xc-fraction requires a fraction\n");
                 return 1;
             }
-            xc_fraction = std::atof(argv[++i]);
+            const char *v = argv[++i];
+            if (!api::parseDouble(v, xc_fraction) || xc_fraction < 0.0 ||
+                xc_fraction > 1.0) {
+                std::fprintf(stderr,
+                             "bad value '%s' for --xc-fraction "
+                             "(a number 0-1)\n",
+                             v);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--host-threads") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
                              "--host-threads requires a count\n");
                 return 1;
             }
-            host_threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            host_threads =
+                api::countOrExit("--host-threads", argv[++i], 0, 64);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
@@ -343,10 +358,10 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 1;
         } else if (positional == 0) {
-            scale = std::atof(argv[i]);
+            scale = api::positiveOrExit("scale", argv[i]);
             ++positional;
         } else if (positional == 1) {
-            nthreads = static_cast<unsigned>(std::atoi(argv[i]));
+            nthreads = api::countOrExit("nthreads", argv[i], 1, 64);
             ++positional;
         } else if (positional == 2) {
             only = argv[i];
@@ -365,16 +380,8 @@ main(int argc, char **argv)
     } else if (quick && positional == 1) {
         nthreads = 4;
     }
-    if (shards < 1)
-        shards = 1;
     if (shards > nthreads)
         shards = nthreads;
-    if (banks < 1)
-        banks = 1;
-    if (banks > 64)
-        banks = 64;
-    if (clusters < 1)
-        clusters = 1;
     // Fleet-wide totals must respect the machine limits (64 cores,
     // 64 banks); nthreads and banks are per-cluster sizes here.
     while (clusters > 1 &&

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -267,6 +268,157 @@ TEST(EventQueueSlip, RunStopsAtMaxCyclesWithSlippedEvents)
     q.eq.run(6);
     EXPECT_EQ(q.at.size(), 2u);
     EXPECT_EQ(q.eq.now(), 6u);
+}
+
+namespace {
+
+/**
+ * Log of a self-rescheduling event (tags 100+) interleaved with plain
+ * same-cycle events, rescheduling through rearmAfter() or through a
+ * fresh scheduleAfter().
+ */
+std::vector<std::pair<int, Cycle>>
+selfRescheduling(bool rearm)
+{
+    EventQueue eq;
+    std::vector<std::pair<int, Cycle>> at;
+    int firings = 0;
+    std::function<void()> self;
+    self = [&] {
+        at.emplace_back(100 + firings, eq.now());
+        if (++firings == 4)
+            return;
+        if (rearm)
+            eq.rearmAfter(5);
+        else
+            eq.scheduleAfter(5, self);
+        // Scheduled after the re-arm: the same cycle, a later seq.
+        int tag = 200 + firings;
+        eq.scheduleAfter(5, [&at, &eq, tag] { at.emplace_back(tag, eq.now()); });
+    };
+    eq.schedule(5, [&] { at.emplace_back(1, eq.now()); });
+    eq.schedule(0, self);
+    eq.schedule(5, [&] { at.emplace_back(2, eq.now()); });
+    eq.run();
+    EXPECT_EQ(eq.executed(), 9u);
+    EXPECT_TRUE(eq.empty());
+    return at;
+}
+
+} // namespace
+
+TEST(EventQueueRearm, TakesTheSeqAndOrderOfSchedule)
+{
+    auto rearmed = selfRescheduling(true);
+    EXPECT_EQ(rearmed, selfRescheduling(false));
+    EXPECT_EQ(rearmed, (std::vector<std::pair<int, Cycle>>{
+                           {100, 0}, {1, 5}, {2, 5}, {101, 5}, {201, 5},
+                           {102, 10}, {202, 10}, {103, 15}, {203, 15}}));
+}
+
+TEST(EventQueueRearm, RearmedHandleCanBeCancelled)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventHandle h;
+    eq.schedule(1, [&] {
+        ++fired;
+        h = eq.rearmAfter(9);
+    });
+    eq.schedule(5, [&] { eq.cancel(h); });
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.step();
+    EXPECT_EQ(eq.pending(), 2u); // The re-arm is live.
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_TRUE(eq.empty());
+    eq.cancel(h); // Idempotent after the cancel.
+
+    // Cancelled from inside its own run, then re-armed again: only the
+    // second re-arm fires, and the slot is recycled afterwards.
+    EventQueue q2;
+    std::vector<Cycle> at;
+    q2.schedule(1, [&] {
+        at.push_back(q2.now());
+        if (at.size() > 1)
+            return;
+        EventHandle first = q2.rearmAfter(2);
+        q2.cancel(first);
+        EXPECT_EQ(q2.pending(), 0u);
+        q2.rearmAfter(6);
+    });
+    q2.run();
+    EXPECT_EQ(at, (std::vector<Cycle>{1, 7}));
+    EXPECT_TRUE(q2.empty());
+    int later = 0;
+    q2.schedule(10, [&] { ++later; });
+    q2.run();
+    EXPECT_EQ(later, 1);
+}
+
+TEST(EventQueueRearm, CancelOfTheFiredHandleDoesNotTouchTheRearm)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventHandle h;
+    h = eq.schedule(1, [&] {
+        if (++fired > 1)
+            return;
+        eq.rearmAfter(1);
+        eq.cancel(h); // Names the event that fired: a no-op.
+    });
+    eq.run();
+    EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueueRearm, WorksFromTheTopAndFromTheReadyHeap)
+{
+    SlipLog q;
+    int hops = 0;
+    q.eq.schedule(3, [&] {
+        q.at.emplace_back(0, q.eq.now());
+        if (++hops < 3)
+            q.eq.rearmAfter(hops == 1 ? 0 : 2);
+    });
+    q.add(1, 3);
+    q.add(2, 4);
+    // Slip cycle 3: both events due there move to the ready heap.
+    EXPECT_EQ(q.eq.slipDue(3), 2u);
+    // Event 0 runs out of the ready heap and re-arms at the same cycle
+    // (behind 1 and 2, which were scheduled before the re-arm), then
+    // re-arms from the pending top.
+    q.eq.run();
+    EXPECT_EQ(q.at, (std::vector<std::pair<int, Cycle>>{
+                        {0, 4}, {1, 4}, {2, 4}, {0, 4}, {0, 6}}));
+    EXPECT_EQ(q.eq.executed(), 5u);
+    EXPECT_TRUE(q.eq.empty());
+
+    // A re-armed event can itself be slipped.
+    SlipLog r;
+    r.eq.schedule(1, [&] {
+        r.at.emplace_back(0, r.eq.now());
+        if (r.at.size() == 1)
+            r.eq.rearmAfter(1);
+    });
+    r.eq.step();
+    EXPECT_EQ(r.eq.slipDue(2), 1u);
+    r.eq.run();
+    EXPECT_EQ(r.at, (std::vector<std::pair<int, Cycle>>{{0, 1}, {0, 3}}));
+}
+
+TEST(EventQueueDeath, RearmOutsideARunningEventPanics)
+{
+    EventQueue eq;
+    EXPECT_DEATH(eq.rearmAfter(1), "re-arm outside a running event");
+    eq.schedule(1, [] {});
+    eq.run();
+    EXPECT_DEATH(eq.rearmAfter(1), "re-arm outside a running event");
+    eq.schedule(2, [&] {
+        eq.rearmAfter(1);
+        eq.rearmAfter(2);
+    });
+    EXPECT_DEATH(eq.run(), "re-armed twice");
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/cluster.hpp"
+#include "trace/sink.hpp"
 
 using namespace retcon;
 using namespace retcon::exec;
@@ -248,3 +249,219 @@ INSTANTIATE_TEST_SUITE_P(
                           htm::TMMode::Lazy, htm::TMMode::LazyVB,
                           htm::TMMode::Retcon, htm::TMMode::DATM),
         ::testing::Values(1, 2, 3)));
+
+// ---------------------------------------------------------------------
+// Re-armed core events and the lean NACK retry: a run must be
+// identical, record for record, to the same run on the full retry path.
+// ---------------------------------------------------------------------
+
+namespace retcon::htm {
+
+/** Switches TMMachine::leanRetry off, so every retry takes the full
+ *  txLoad/txStore path. */
+class MachineTestPeer
+{
+  public:
+    static void
+    setLeanRetries(TMMachine &tm, bool on)
+    {
+        tm._leanRetries = on;
+    }
+};
+
+} // namespace retcon::htm
+
+namespace {
+
+constexpr Addr kA = 0x4000;
+constexpr Addr kB = 0x8000;
+
+/** Everything a run leaves behind that a retry path could perturb. */
+struct RunOutcome {
+    Cycle cycles = 0;
+    std::vector<trace::Record> records;
+    htm::MachineStats stats;
+    std::vector<CoreStats> cores;
+    std::vector<TimeBreakdown> breakdowns;
+    Word a = 0;
+    Word b = 0;
+};
+
+RunOutcome
+runProgram(const ClusterConfig &base, bool lean,
+           const Core::ProgramFactory &program)
+{
+    RunOutcome out;
+    trace::VectorSink sink(out.records);
+    ClusterConfig cfg = base;
+    cfg.traceSink = &sink;
+    Cluster cl(cfg);
+    htm::MachineTestPeer::setLeanRetries(cl.machine(), lean);
+    cl.start(program);
+    out.cycles = cl.run();
+    out.stats = cl.machine().stats();
+    for (CoreId c = 0; c < cfg.numThreads; ++c) {
+        out.cores.push_back(cl.core(c).stats());
+        out.breakdowns.push_back(cl.core(c).breakdown());
+    }
+    out.a = cl.memory().readWord(kA);
+    out.b = cl.memory().readWord(kB);
+    return out;
+}
+
+void
+expectSameRun(const RunOutcome &lean, const RunOutcome &full)
+{
+    EXPECT_EQ(lean.cycles, full.cycles);
+    EXPECT_EQ(lean.a, full.a);
+    EXPECT_EQ(lean.b, full.b);
+    EXPECT_EQ(lean.stats.nacks, full.stats.nacks);
+    EXPECT_EQ(lean.stats.conflicts, full.stats.conflicts);
+    EXPECT_EQ(lean.stats.commits, full.stats.commits);
+    EXPECT_EQ(lean.stats.aborts, full.stats.aborts);
+    EXPECT_EQ(lean.stats.backoffNacks, full.stats.backoffNacks);
+    EXPECT_EQ(lean.stats.backoffCycles, full.stats.backoffCycles);
+    for (int c = 0; c < 10; ++c)
+        EXPECT_EQ(lean.stats.abortsByCause[c], full.stats.abortsByCause[c])
+            << htm::abortCauseName(static_cast<htm::AbortCause>(c));
+    ASSERT_EQ(lean.cores.size(), full.cores.size());
+    for (std::size_t c = 0; c < lean.cores.size(); ++c) {
+        EXPECT_EQ(lean.cores[c].commits, full.cores[c].commits) << c;
+        EXPECT_EQ(lean.cores[c].aborts, full.cores[c].aborts) << c;
+        EXPECT_EQ(lean.cores[c].finishCycle, full.cores[c].finishCycle)
+            << c;
+        EXPECT_EQ(lean.breakdowns[c].conflict, full.breakdowns[c].conflict)
+            << c;
+        EXPECT_EQ(lean.breakdowns[c].busy, full.breakdowns[c].busy) << c;
+    }
+    ASSERT_EQ(lean.records.size(), full.records.size());
+    for (std::size_t i = 0; i < lean.records.size(); ++i)
+        ASSERT_TRUE(trace::recordsIdentical(lean.records[i],
+                                            full.records[i]))
+            << "record " << i;
+}
+
+/** Older transaction: owns A, works, then takes B from the younger. */
+Task<TxValue>
+olderBody(Tx &tx, Cycle hold)
+{
+    co_await tx.store(kA, TxValue(Word(1)));
+    co_await tx.work(hold);
+    co_await tx.store(kB, TxValue(Word(1)));
+    co_return TxValue(Word(0));
+}
+
+/** Younger transaction: owns B, then parks on the older's A. */
+Task<TxValue>
+youngerBody(Tx &tx)
+{
+    co_await tx.store(kB, TxValue(Word(2)));
+    TxValue v = co_await tx.load(kA);
+    co_return v;
+}
+
+/** Core 0 runs the older transaction, core 1 the younger one. */
+Core::ProgramFactory
+parkedProgram(Cycle hold)
+{
+    return [hold](WorkerCtx &ctx) -> Task<void> {
+        if (ctx.tid() == 0)
+            co_await ctx.txn(
+                [hold](Tx &tx) { return olderBody(tx, hold); });
+        else
+            co_await ctx.txn([](Tx &tx) { return youngerBody(tx); });
+        co_await ctx.barrier();
+    };
+}
+
+std::vector<trace::Record>
+abortsOf(const std::vector<trace::Record> &records, htm::AbortCause cause)
+{
+    std::vector<trace::Record> out;
+    for (const trace::Record &r : records)
+        if (r.kind == trace::EventKind::Abort &&
+            r.aux == static_cast<std::uint8_t>(cause))
+            out.push_back(r);
+    return out;
+}
+
+} // namespace
+
+TEST(LeanRetry, RemoteAbortOfAParkedCoreCancelsCleanly)
+{
+    // Core 1 parks on NACK retries of A (its re-armed event pending)
+    // until core 0, older, takes B from it: the remote abort must
+    // cancel the parked retry, restart core 1, and let both commit.
+    ClusterConfig cfg;
+    cfg.numThreads = 2;
+    cfg.tm.mode = htm::TMMode::Eager;
+    RunOutcome lean = runProgram(cfg, true, parkedProgram(400));
+    EXPECT_EQ(lean.a, 1u);
+    EXPECT_EQ(lean.b, 2u); // The restarted younger commits last.
+    EXPECT_EQ(lean.cores[0].commits, 1u);
+    EXPECT_EQ(lean.cores[1].commits, 1u);
+    EXPECT_EQ(lean.cores[1].aborts, 1u);
+    EXPECT_EQ(lean.cores[0].aborts, 0u);
+    EXPECT_EQ(abortsOf(lean.records, htm::AbortCause::Conflict).size(),
+              1u);
+    // Parked for most of the 400-cycle hold: many lean retries.
+    EXPECT_GT(lean.stats.nacks, 10u);
+    expectSameRun(lean, runProgram(cfg, false, parkedProgram(400)));
+}
+
+TEST(LeanRetry, ZombieAbortLandsOnTheFullPathsOpAndCycle)
+{
+    // With a small op bound, core 1's parked load turns zombie: each
+    // attempt issues its store and its load, is NACKed on the load and
+    // its retries, and is discarded on op zombieOpLimit + 1 (the
+    // counter lives in Core and counts lean retries like full ones).
+    constexpr std::uint64_t kLimit = 6;
+    ClusterConfig cfg;
+    cfg.numThreads = 2;
+    cfg.tm.mode = htm::TMMode::Eager;
+    cfg.tm.zombieOpLimit = kLimit;
+    RunOutcome lean = runProgram(cfg, true, parkedProgram(2000));
+    RunOutcome full = runProgram(cfg, false, parkedProgram(2000));
+    auto zombies = abortsOf(lean.records, htm::AbortCause::Zombie);
+    ASSERT_GT(zombies.size(), 2u);
+    for (std::size_t i = 1; i < zombies.size(); ++i)
+        EXPECT_EQ(zombies[i].cycle - zombies[i - 1].cycle,
+                  zombies[1].cycle - zombies[0].cycle)
+            << "every zombie attempt lasts the same number of ops";
+    auto full_zombies = abortsOf(full.records, htm::AbortCause::Zombie);
+    ASSERT_EQ(zombies.size(), full_zombies.size());
+    for (std::size_t i = 0; i < zombies.size(); ++i)
+        EXPECT_EQ(zombies[i].cycle, full_zombies[i].cycle) << i;
+    // Ops 2..kLimit of every zombie attempt were NACKed.
+    EXPECT_GE(lean.stats.nacks, (kLimit - 1) * zombies.size());
+    expectSameRun(lean, full);
+}
+
+TEST(LeanRetry, LinearBackoffLatenciesMatchTheFullRetry)
+{
+    // Linear backoff with jitter draws from the per-core RNG on every
+    // NACK: a lean retry must consume the same draws and streak steps.
+    for (htm::TMMode mode : {htm::TMMode::Eager, htm::TMMode::LazyVB,
+                             htm::TMMode::Retcon}) {
+        ClusterConfig cfg;
+        cfg.numThreads = 6;
+        cfg.tm.mode = mode;
+        cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
+        cfg.tm.backoff.jitter = true;
+        auto program = [](WorkerCtx &ctx) -> Task<void> {
+            for (int i = 0; i < 12; ++i) {
+                Addr addr = ctx.rng().below(2) ? kA : kB;
+                co_await ctx.txn([addr](Tx &tx) {
+                    return incrementBody(tx, addr, 1);
+                });
+                co_await ctx.work(ctx.rng().below(20));
+            }
+            co_await ctx.barrier();
+        };
+        RunOutcome lean = runProgram(cfg, true, program);
+        SCOPED_TRACE(htm::tmModeName(mode));
+        EXPECT_EQ(lean.a + lean.b, 72u);
+        EXPECT_GT(lean.stats.backoffNacks, 0u);
+        expectSameRun(lean, runProgram(cfg, false, program));
+    }
+}

@@ -109,6 +109,71 @@ TEST(EagerHtm, ReadAfterRemoteWriteConflicts)
     EXPECT_EQ(rig.tm.txLoad(1, kA).status, OpStatus::Nack);
 }
 
+TEST(EagerHtm, LeanRetryMatchesTheFullRetryStepByStep)
+{
+    // Two identical machines: one retries a NACKed load and a NACKed
+    // store through leanRetry, the other through the full path. Under
+    // jittered linear backoff every retry must draw the same latency
+    // and leave the same counters.
+    TMConfig cfg = EagerRig::makeCfg();
+    cfg.backoff.policy = BackoffPolicy::Linear;
+    cfg.backoff.jitter = true;
+    EagerRig lean(cfg), full(cfg);
+    for (EagerRig *rig : {&lean, &full}) {
+        rig->begin(0); // Older.
+        rig->begin(1); // Younger.
+        rig->begin(2); // Youngest.
+        ASSERT_EQ(rig->tm.txStore(0, kA, 7, std::nullopt).status,
+                  OpStatus::Ok);
+        ASSERT_EQ(rig->tm.txLoad(0, kB).status, OpStatus::Ok);
+        ASSERT_EQ(rig->tm.txLoad(1, kA).status, OpStatus::Nack);
+        ASSERT_EQ(rig->tm.txStore(2, kB, 9, std::nullopt).status,
+                  OpStatus::Nack);
+    }
+    for (int i = 0; i < 20; ++i) {
+        Cycle load_lat = 0, store_lat = 0;
+        ASSERT_TRUE(lean.tm.leanRetry(1, kA, false, load_lat));
+        ASSERT_TRUE(lean.tm.leanRetry(2, kB, true, store_lat));
+        MemOpOutcome load = full.tm.txLoad(1, kA, 8, true);
+        MemOpOutcome store = full.tm.txStore(2, kB, 9, std::nullopt, 8,
+                                             true);
+        ASSERT_EQ(load.status, OpStatus::Nack);
+        ASSERT_EQ(store.status, OpStatus::Nack);
+        EXPECT_EQ(load_lat, load.latency) << "retry " << i;
+        EXPECT_EQ(store_lat, store.latency) << "retry " << i;
+    }
+    EXPECT_EQ(lean.tm.stats().nacks, full.tm.stats().nacks);
+    EXPECT_EQ(lean.tm.stats().conflicts, full.tm.stats().conflicts);
+    EXPECT_EQ(lean.tm.stats().backoffNacks, full.tm.stats().backoffNacks);
+    EXPECT_EQ(lean.tm.stats().backoffCycles,
+              full.tm.stats().backoffCycles);
+    EXPECT_GT(lean.tm.stats().backoffCycles, 0u);
+
+    // Once the older holder commits, the lean path declines and the
+    // full retry proceeds.
+    lean.commit(0);
+    Cycle lat = 0;
+    EXPECT_FALSE(lean.tm.leanRetry(1, kA, false, lat));
+    EXPECT_EQ(lean.tm.txLoad(1, kA, 8, true).status, OpStatus::Ok);
+}
+
+TEST(EagerHtm, LeanRetryDeclinesAFreshBlock)
+{
+    // A retry whose last NACK named another block is not a retry of
+    // this conflict: the full path must count and train it.
+    EagerRig rig;
+    rig.begin(0);
+    rig.begin(1);
+    ASSERT_EQ(rig.tm.txStore(0, kA, 7, std::nullopt).status,
+              OpStatus::Ok);
+    ASSERT_EQ(rig.tm.txStore(0, kB, 7, std::nullopt).status,
+              OpStatus::Ok);
+    ASSERT_EQ(rig.tm.txLoad(1, kA).status, OpStatus::Nack);
+    Cycle lat = 0;
+    EXPECT_FALSE(rig.tm.leanRetry(1, kB, false, lat));
+    EXPECT_EQ(rig.tm.stats().nacks, 1u);
+}
+
 TEST(EagerHtm, WriteWriteConflicts)
 {
     EagerRig rig;

@@ -211,6 +211,6 @@ TEST(MemorySystem, StatsCountHitsAndMisses)
     ms.access(0, kB, false);
     ms.access(0, kB, false);
     ms.access(0, kB, false);
-    EXPECT_EQ(ms.stats().get("read_misses"), 1.0);
-    EXPECT_EQ(ms.stats().get("l1_hits"), 2.0);
+    EXPECT_EQ(ms.stats().readMisses, 1u);
+    EXPECT_EQ(ms.stats().l1Hits, 2u);
 }

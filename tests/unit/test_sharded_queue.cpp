@@ -597,3 +597,85 @@ TEST(ShardedQueue, MatchesThePerEventSlipReferenceModel)
     EXPECT_GT(slips, 0u);
     EXPECT_GT(steals, 0u);
 }
+
+namespace {
+
+/**
+ * Eight "cores", each with one event in flight on its home shard, that
+ * reschedule themselves either by re-arming the running event or by
+ * scheduling a fresh one; they also queue one-shot events and cancel
+ * and restart one another. @return the firing log.
+ */
+std::vector<std::pair<int, Cycle>>
+coreLoop(ShardedEventQueue &q, std::uint64_t seed, bool rearm)
+{
+    constexpr int kCores = 8;
+    const unsigned nshards = q.numShards();
+    std::vector<std::pair<int, Cycle>> log;
+    std::vector<EventHandle> pending(kCores);
+    std::vector<int> fires(kCores, 0);
+    Xoshiro rng(seed);
+    std::function<void(int)> fire;
+    auto start = [&](int c, Cycle delay) {
+        pending[c] = q.scheduleAfter(c % nshards, delay,
+                                     [&fire, c] { fire(c); });
+    };
+    fire = [&](int c) {
+        pending[c] = EventHandle{};
+        log.emplace_back(c, q.now());
+        if (++fires[c] >= 30)
+            return;
+        const Cycle delay = rng.below(3);
+        if (rearm)
+            pending[c] = q.rearmAfter(c % nshards, delay);
+        else
+            start(c, delay);
+        if (rng.chance(1, 4)) {
+            const int tag = 100 + c;
+            q.scheduleAfter(static_cast<unsigned>(rng.below(nshards)),
+                            rng.below(2),
+                            [&log, &q, tag] { log.emplace_back(tag, q.now()); });
+        }
+        const int victim = static_cast<int>(rng.below(kCores));
+        if (victim != c && pending[victim].valid() && rng.chance(1, 6)) {
+            q.cancel(pending[victim]);
+            start(victim, 1);
+        }
+    };
+    for (int c = 0; c < kCores; ++c)
+        start(c, rng.below(2));
+    q.run();
+    return log;
+}
+
+} // namespace
+
+TEST(ShardedQueue, RearmMatchesScheduleUnderSlipsAndSteals)
+{
+    std::uint64_t slips = 0, steals = 0;
+    for (unsigned nshards : {1u, 2u, 4u})
+    for (unsigned bw : {0u, 1u, 2u})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string where = "shards " + std::to_string(nshards) +
+                                  " bw " + std::to_string(bw) +
+                                  " seed " + std::to_string(seed);
+        ShardedEventQueue a(config(nshards, bw)), b(config(nshards, bw));
+        auto rearmed = coreLoop(a, seed, true);
+        EXPECT_EQ(rearmed, coreLoop(b, seed, false)) << where;
+        EXPECT_EQ(a.executed(), b.executed()) << where;
+        EXPECT_EQ(a.now(), b.now()) << where;
+        for (unsigned s = 0; s < nshards; ++s) {
+            const auto &x = a.shardStats(s);
+            const auto &y = b.shardStats(s);
+            EXPECT_EQ(x.scheduled, y.scheduled) << where << " shard " << s;
+            EXPECT_EQ(x.drained, y.drained) << where << " shard " << s;
+            EXPECT_EQ(x.executed, y.executed) << where << " shard " << s;
+            EXPECT_EQ(x.stolen, y.stolen) << where << " shard " << s;
+            EXPECT_EQ(x.deferred, y.deferred) << where << " shard " << s;
+            slips += x.deferred;
+            steals += x.stolen;
+        }
+    }
+    EXPECT_GT(slips, 0u);
+    EXPECT_GT(steals, 0u);
+}

@@ -106,6 +106,28 @@ TEST(Histogram, Percentile)
     EXPECT_EQ(h.percentile(1.0), 9u);
 }
 
+TEST(Histogram, PercentileOfOneSampleIsThatSample)
+{
+    Histogram h(16);
+    h.sample(10);
+    EXPECT_EQ(h.percentile(0.5), 10u);
+    EXPECT_EQ(h.percentile(0.99), 10u);
+    EXPECT_EQ(h.percentile(0.0), 10u); // Rank floor of 1.
+}
+
+TEST(Histogram, PercentileIsNearestRank)
+{
+    Histogram h(16);
+    for (std::int64_t v = 1; v <= 10; ++v)
+        h.sample(v);
+    EXPECT_EQ(h.percentile(0.5), 5u);
+    EXPECT_EQ(h.percentile(0.7), 7u); // 0.7 * 10 rounds above 7.
+    EXPECT_EQ(h.percentile(0.95), 10u);
+    EXPECT_EQ(h.percentile(0.99), 10u);
+    EXPECT_EQ(h.percentile(1.0), 10u);
+    EXPECT_EQ(Histogram(4).percentile(0.5), 0u); // Empty.
+}
+
 TEST(Histogram, NegativeSamplesLandInUnderflow)
 {
     Histogram h(4);
@@ -134,26 +156,6 @@ TEST(Histogram, MergeRoundTripMatchesSingleStream)
     for (std::size_t i = 0; i < whole.size(); ++i)
         EXPECT_EQ(left.bucket(i), whole.bucket(i)) << i;
     EXPECT_EQ(left.percentile(0.5), whole.percentile(0.5));
-}
-
-TEST(StatSet, AddAndGet)
-{
-    StatSet s;
-    s.add("commits");
-    s.add("commits", 2);
-    EXPECT_DOUBLE_EQ(s.get("commits"), 3.0);
-    EXPECT_DOUBLE_EQ(s.get("absent"), 0.0);
-}
-
-TEST(StatSet, Merge)
-{
-    StatSet a, b;
-    a.add("x", 1);
-    b.add("x", 2);
-    b.add("y", 5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
 }
 
 TEST(Xoshiro, DeterministicForSameSeed)
