@@ -15,8 +15,8 @@
  *  - per-mode arena sizing (arenaBytesFor): DATM runs get 4x the
  *    default per-thread arena, clamped so (nthreads + 1) arenas still
  *    fit one cluster heap region — headroom for the leak-per-abort;
- *  - cascade back-pressure (htm::TMConfig::datmCascadeBackpressure,
- *    on by default): cores aborted by a forwarding cascade delay
+ *  - cascade back-pressure (htm::TMMachine::restartBackoff, always
+ *    on): cores aborted by a forwarding cascade delay
  *    their restart exponentially in the cascade streak, breaking the
  *    retry storms that previously kept yada/intruder from converging
  *    at moderate scales.
@@ -25,9 +25,9 @@
  * retry storm at 16 and 32 threads leaks its arena without bound, so
  * no arena size helps there (see the table's reason).
  *
- * Points outside the envelope are *skipped*, never silently shrunk:
- * sweep_main consults datmSupported() and prints the skip with the
- * row's reason.
+ * Points outside the envelope are *rejected*, never silently shrunk:
+ * api::checkConfig returns the row's reason (sweep_main prints it as
+ * the cell's outcome); runOnce itself does not consult the envelope.
  */
 
 #ifndef RETCON_API_DATM_ENVELOPE_HPP
@@ -57,7 +57,7 @@ struct DatmEnvelopeEntry {
     /** Supported on a multi-cluster fleet (clusters > 1)? */
     bool fleetSupported;
 
-    /** Why the bound exists (printed by sweep skips). */
+    /** Why the bound exists (in checkConfig's rejection). */
     const char *reason;
 };
 

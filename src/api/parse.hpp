@@ -4,8 +4,9 @@
  *
  * The whole string must be the number: unlike atoi/atof, garbage is an
  * error rather than a silent 0, and trailing text, a sign on an
- * unsigned value and non-finite doubles are rejected. The *OrExit
- * helpers are for drivers (benches, sweep_main): a bad value prints
+ * unsigned value and non-finite doubles are rejected. Run options are
+ * parsed through the knob table (api/config.hpp); countOrExit is for
+ * a program's own options (sweep_main --host-threads): a bad value prints
  * "bad value '<v>' for <name> (<expected>)" and exits 2.
  */
 
@@ -57,19 +58,6 @@ countOrExit(const char *what, const char *value, unsigned lo, unsigned hi)
         std::exit(2);
     }
     return static_cast<unsigned>(u);
-}
-
-/** @p value as a finite number > 0, or exit 2 naming @p what. */
-inline double
-positiveOrExit(const char *what, const char *value)
-{
-    double d = 0.0;
-    if (!parseDouble(value, d) || !(d > 0.0)) {
-        std::fprintf(stderr, "bad value '%s' for %s (a number > 0)\n",
-                     value, what);
-        std::exit(2);
-    }
-    return d;
 }
 
 } // namespace retcon::api

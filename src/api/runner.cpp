@@ -55,7 +55,6 @@ paperConfigs()
 RunResult
 runOnce(const RunConfig &cfg)
 {
-    sim_assert(cfg.clusters >= 1, "clusters must be >= 1");
     workloads::WorkloadParams params;
     params.nthreads = cfg.nthreads * cfg.clusters;
     params.seed = cfg.seed;
@@ -66,20 +65,15 @@ runOnce(const RunConfig &cfg)
     params.annotatePhases = cfg.annotatePhases;
     params.arenaBytes = arenaBytesFor(cfg.tm.mode, params.nthreads);
 
-    // Resolve the scenario before anything else so a typo fails fast.
-    // The runtime owns the plan for the whole run; the workload reads
-    // it through params.scenario, machine-level fault overlays are
-    // installed below once the fleet exists.
+    // The runtime owns the scenario plan for the whole run; the
+    // workload reads it through params.scenario, machine-level fault
+    // overlays are installed below once the fleet exists.
     std::unique_ptr<scenario::Runtime> scenarioRt;
     if (!cfg.scenario.empty()) {
         const scenario::Scenario *sc =
             scenario::scenarioByName(cfg.scenario);
-        if (sc == nullptr)
-            fatal("unknown scenario '%s' (see --list-scenarios)",
-                  cfg.scenario.c_str());
-        sim_assert(cfg.workload == "service",
-                   "scenario '%s' requires the service workload, not "
-                   "%s",
+        sim_assert(sc && cfg.workload == "service",
+                   "scenario '%s' on %s fails checkConfig",
                    cfg.scenario.c_str(), cfg.workload.c_str());
         scenario::Env env;
         env.seed = cfg.seed;

@@ -159,8 +159,8 @@ struct RunConfig {
      * docs/scenarios.md): open-loop arrival processes, mid-run
      * mix/hotset shifts, and deterministic fault windows for the
      * `service` workload. Empty (the default) is the plain stationary
-     * run, bit-identical to pre-scenario behaviour. runOnce fatal()s
-     * on unknown names and on non-service workloads; the plan is
+     * run, bit-identical to pre-scenario behaviour. The name must be
+     * registered and the workload `service` (checkConfig); the plan is
      * derived deterministically from `seed`, so scenario runs keep
      * the full shards/banks determinism contract and run
      * under the reenactment audit like any other run.
@@ -346,7 +346,8 @@ htm::TMConfig retconConfig();
 /** Global-lock serialization (the sequential baseline substrate). */
 htm::TMConfig serialConfig();
 
-/** Execute one run (setup, simulate, validate). fatal()s on deadlock. */
+/** Execute one run (setup, simulate, validate) of a config that passes
+ *  api::checkConfig bar the DATM envelope. fatal()s on deadlock. */
 RunResult runOnce(const RunConfig &cfg);
 
 /**

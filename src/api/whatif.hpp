@@ -32,70 +32,21 @@
 #include <string>
 #include <vector>
 
-#include "api/runner.hpp"
+#include "api/config.hpp"
 #include "query/replay.hpp"
 #include "trace/graph.hpp"
 
 namespace retcon::api {
 
-/**
- * How early in a recorded stream a knob change can possibly take
- * effect. Ordered weakest to strongest; a multi-knob change takes the
- * strongest class among its knobs.
- */
-enum class ReachClass : std::uint8_t {
-    /** Host-side only (shards, memBanks without
-     *  occupancy): the simulated stream is bit-identical by
-     *  contract, nothing is reachable. */
-    Nothing,
-    /** Acts only where attempts interact (backoff, scheduling,
-     *  commit-token arbitration, bank occupancy, shard bandwidth):
-     *  first reachable record = the first-interaction frontier. */
-    Conflicts,
-    /** Acts only on commit-time repaired stores (repair fault
-     *  injection): first reachable record = first `repair`. */
-    Repairs,
-    /** Acts only on DATM forwarded values: first reachable record =
-     *  first `forward`. */
-    Forwards,
-    /** Changes the program itself (seed, workload, nthreads, scale,
-     *  tm.mode, partitioning): everything is reachable. */
-    Everything,
-};
-
-const char *reachClassName(ReachClass c);
-
-/** One knob change, by name (see applyKnob for the vocabulary). */
+/** One knob change, by name (the knob table, api/config.hpp). */
 struct KnobChange {
     std::string knob;
     std::string value;
 };
 
-/** Reach classification of one knob name (Everything if unknown —
- *  the sound default: never under-estimate reach). */
-ReachClass classifyKnob(const std::string &knob);
-
-/**
- * Apply one knob change to @p cfg. Supported knobs:
- *
- *   seed, workload, nthreads, scale, servicePartitions, clusters,
- *   crossClusterFraction, tm.mode (serial|eager|lazy|lazy-vb|
- *   retcon|datm)                                    -> Everything
- *   backoff (none|linear|exp|prop), contentionSched (0|1),
- *   commitTokenArbitration (0|1), memBankOccupancy,
- *   shardBandwidth                                  -> Conflicts
- *   faultInjectRepairXor                            -> Repairs
- *   faultInjectForwardXor                           -> Forwards
- *   shards, memBanks                                -> Nothing
- *
- * @return false (cfg untouched) on unknown knob or unparseable value.
- */
-bool applyKnob(RunConfig &cfg, const std::string &knob,
-               const std::string &value);
-
 /** Everything one what-if reenactment produces. */
 struct WhatIfResult {
-    bool ok = false;       ///< False: see error (bad knob, no trace).
+    bool ok = false; ///< False: see error (bad knob, config rejected).
     std::string error;
 
     /** The two full streams. */
@@ -136,6 +87,7 @@ struct WhatIfResult {
  * Record @p base (tracing forced on), apply @p changes, re-run, and
  * compare the two complete captured streams. @p base's own trace
  * options are honoured, except captureInto, which the engine owns.
+ * Nothing runs unless both configs pass checkConfig.
  */
 WhatIfResult runWhatIf(const RunConfig &base,
                        const std::vector<KnobChange> &changes);

@@ -57,8 +57,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
         _cores[victim]->onRemoteAbort(c);
     });
     if (cfg.sched.enabled) {
-        _sched = std::make_unique<ContentionScheduler>(cfg.numShards,
-                                                       cfg.sched);
+        _sched = std::make_unique<ContentionScheduler>(cfg.numShards);
         _tm->setContentionHook([this](CoreId core, Addr key) {
             _sched->observe(shardOf(core), key, _eq.now());
         });

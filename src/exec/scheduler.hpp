@@ -14,14 +14,14 @@
  * TMMachine's contention hook feeds it every contention loss — the
  * contested block of a conflict abort, the blamed bank of a commit-
  * token wait/steal (htm::tokenBlameKey). Entries accumulate "heat"
- * and cool by halving every decayInterval cycles. When a core's
+ * and cool by halving every kDecayInterval cycles. When a core's
  * transaction aborts, the cluster asks the core's home-shard table
  * whether the blamed key is hot; if its heat is at or above the
- * threshold, the restart is deferred by heat * deferBase cycles
+ * threshold, the restart is deferred by heat * kDeferBase cycles
  * (capped), so requests queued behind a hot block spread out instead
  * of re-arriving together.
  *
- * The table is deliberately tiny (direct-mapped, `entries` slots per
+ * The table is deliberately tiny (direct-mapped, kEntries slots per
  * shard): hot blocks are by definition few, and a cold block that
  * aliases a hot slot merely evicts it — the cost is a missed
  * deferral, never a wrong result. Deferral changes timing only; all
@@ -44,38 +44,13 @@
 
 namespace retcon::exec {
 
-/** Contention-scheduler knobs (ClusterConfig::sched). */
+/**
+ * Contention-scheduler switches (ClusterConfig::sched). The table's
+ * sizing and timing are ContentionScheduler constants.
+ */
 struct SchedulerConfig {
     /** Master switch: off reproduces immediate re-dispatch exactly. */
     bool enabled = false;
-
-    /** Hot-table slots per shard (direct-mapped by key hash). */
-    unsigned entries = 16;
-
-    /** Heat at which a blamed key counts as hot (defers kick in). */
-    std::uint32_t heatThreshold = 2;
-
-    /** Deferral per heat unit above/at the threshold, in cycles. */
-    Cycle deferBase = 32;
-
-    /** Upper bound on a single deferral. */
-    Cycle deferCap = 512;
-
-    /** Heat halves every this-many cycles (lazy decay on access). */
-    Cycle decayInterval = 2048;
-
-    /**
-     * Also defer restarts whose abort blamed a commit-token bank
-     * (htm::tokenBlameKey) rather than a block. Off by default:
-     * token-steal victims are transactions that had *reached their
-     * commit point* — delaying their retry delays a commit
-     * one-for-one, which measured as a net throughput loss on the
-     * service mix (docs/tuning.md). Token events still heat the
-     * table either way, so per-bank hotness stays observable in the
-     * stats; full-key hashing keeps bank keys from aliasing block
-     * entries.
-     */
-    bool deferTokenBlame = false;
 
     /**
      * Predictor-aware deferral: skip deferring restarts whose abort
@@ -95,6 +70,16 @@ struct SchedulerConfig {
 class ContentionScheduler
 {
   public:
+    /// Table sizing and timing, tuned on the service mix
+    /// (docs/tuning.md): slots per shard (direct-mapped by key hash),
+    /// the heat at which a blamed key is hot, the deferral per heat
+    /// unit and its cap, and the cycles per heat halving.
+    static constexpr unsigned kEntries = 16;
+    static constexpr std::uint32_t kHeatThreshold = 2;
+    static constexpr Cycle kDeferBase = 32;
+    static constexpr Cycle kDeferCap = 512;
+    static constexpr Cycle kDecayInterval = 2048;
+
     /** Lifetime counters, per shard. */
     struct Stats {
         std::uint64_t observed = 0;    ///< Contention events fed.
@@ -104,11 +89,10 @@ class ContentionScheduler
                                            ///< the blame is repairable.
     };
 
-    ContentionScheduler(unsigned nshards, const SchedulerConfig &cfg)
-        : _cfg(cfg), _shards(nshards)
+    explicit ContentionScheduler(unsigned nshards) : _shards(nshards)
     {
         for (Shard &s : _shards)
-            s.slots.resize(cfg.entries);
+            s.slots.resize(kEntries);
     }
 
     /** Record a contention loss blaming @p key on @p shard. */
@@ -136,19 +120,23 @@ class ContentionScheduler
     Cycle
     deferDelay(unsigned shard, Addr key, Cycle now)
     {
-        if (key == 0)
-            return 0;
-        if (key >= htm::kTokenBlameBase && !_cfg.deferTokenBlame)
+        // Token-blamed restarts (htm::tokenBlameKey) are never
+        // deferred: a token-steal victim had reached its commit point,
+        // so delaying its retry delays a commit one-for-one, which
+        // measured as a net throughput loss on the service mix
+        // (docs/tuning.md). Token events still heat the table, so
+        // per-bank hotness stays observable in the stats.
+        if (key == 0 || key >= htm::kTokenBlameBase)
             return 0;
         Shard &s = _shards[shard];
         Slot &slot = s.slots[slotOf(key)];
         if (slot.key != key)
             return 0;
         decay(slot, now);
-        if (slot.heat < _cfg.heatThreshold)
+        if (slot.heat < kHeatThreshold)
             return 0;
-        Cycle d = _cfg.deferBase * slot.heat;
-        d = d > _cfg.deferCap ? _cfg.deferCap : d;
+        Cycle d = kDeferBase * slot.heat;
+        d = d > kDeferCap ? kDeferCap : d;
         ++s.stats.defers;
         s.stats.deferCycles += d;
         return d;
@@ -172,8 +160,6 @@ class ContentionScheduler
         return _shards[shard].stats;
     }
 
-    const SchedulerConfig &config() const { return _cfg; }
-
   private:
     struct Slot {
         Addr key = 0;
@@ -185,7 +171,6 @@ class ContentionScheduler
         Stats stats;
     };
 
-    SchedulerConfig _cfg;
     std::vector<Shard> _shards;
 
     std::size_t
@@ -198,12 +183,12 @@ class ContentionScheduler
         // interference.
         return static_cast<std::size_t>(
                    key * 0x9e3779b97f4a7c15ull >> 40) %
-               _cfg.entries;
+               kEntries;
     }
 
     /**
      * Bring @p slot's heat current as of @p now, halving once per
-     * whole decayInterval elapsed since the slot's epoch. The epoch
+     * whole kDecayInterval elapsed since the slot's epoch. The epoch
      * advances only by the intervals actually applied, so residual
      * sub-interval time is carried — frequent touches cannot starve
      * decay by repeatedly resetting the clock.
@@ -211,21 +196,19 @@ class ContentionScheduler
     void
     decay(Slot &slot, Cycle now) const
     {
-        if (_cfg.decayInterval == 0)
-            return;
         if (slot.heat == 0) {
             // Nothing to decay: fast-forward the epoch so a later
             // heat-up does not inherit eons of idle elapsed time.
             slot.lastTouch = now;
             return;
         }
-        Cycle halvings = (now - slot.lastTouch) / _cfg.decayInterval;
+        Cycle halvings = (now - slot.lastTouch) / kDecayInterval;
         if (halvings == 0)
             return;
         slot.heat = halvings >= 32
                         ? 0
                         : slot.heat >> static_cast<unsigned>(halvings);
-        slot.lastTouch += halvings * _cfg.decayInterval;
+        slot.lastTouch += halvings * kDecayInterval;
     }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "sim/logging.hpp"
 
@@ -43,20 +42,6 @@ backoffPolicyName(BackoffPolicy p)
       case BackoffPolicy::ConflictProportional: return "prop";
     }
     return "?";
-}
-
-BackoffPolicy
-backoffPolicyFromName(const char *name)
-{
-    if (std::strcmp(name, "none") == 0)
-        return BackoffPolicy::None;
-    if (std::strcmp(name, "linear") == 0)
-        return BackoffPolicy::Linear;
-    if (std::strcmp(name, "exp") == 0)
-        return BackoffPolicy::ExpCapped;
-    if (std::strcmp(name, "prop") == 0)
-        return BackoffPolicy::ConflictProportional;
-    panic("unknown backoff policy '%s' (none|linear|exp|prop)", name);
 }
 
 const char *
@@ -1247,15 +1232,20 @@ TMMachine::nackLatency(CoreId core, bool conflict)
 Cycle
 TMMachine::restartBackoff(CoreId core)
 {
-    // DATM cascade back-pressure: deterministic (no jitter),
-    // independent of the retry-backoff policy, charged only to cores
-    // whose last abort came from a forwarding cascade — every
-    // non-DATM mode never builds a streak and is bit-identical.
+    // DATM cascade back-pressure (api/datm_envelope.hpp): a core
+    // killed by a forwarding cascade delays its restart by
+    // min(kCascadeCap, kCascadeBase << (streak - 1)) cycles, the streak
+    // counting cascade aborts since its last commit, so the cascade's
+    // members do not relaunch together and rebuild the same chain.
+    // Deterministic, independent of the retry-backoff policy, and
+    // charged as cascadeBpCycles, never backoffCycles; non-DATM modes
+    // never build a streak.
+    constexpr Cycle kCascadeBase = 16;
+    constexpr Cycle kCascadeCap = 2048;
     Cycle cascade = 0;
-    if (_cfg.datmCascadeBackpressure && _cascadeStreak[core] > 0) {
+    if (_cascadeStreak[core] > 0) {
         std::uint32_t s = std::min(_cascadeStreak[core] - 1, 16u);
-        cascade = std::min(_cfg.datmCascadeCap,
-                           _cfg.datmCascadeBase << s);
+        cascade = std::min(kCascadeCap, kCascadeBase << s);
         ++_stats.cascadeBpRestarts;
         _stats.cascadeBpCycles += cascade;
     }

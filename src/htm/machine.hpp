@@ -69,9 +69,9 @@ struct MachineStats {
     std::uint64_t backoffRestarts = 0; ///< Post-abort restarts delayed.
     std::uint64_t backoffCycles = 0;   ///< Total extra delay imposed.
 
-    /// DATM cascade back-pressure (0 unless mode == DATM and
-    /// TMConfig::datmCascadeBackpressure; reported separately from
-    /// the backoff counters so policy-None runs still show 0 there).
+    /// DATM cascade back-pressure (0 unless mode == DATM; reported
+    /// separately from the backoff counters so policy-None runs still
+    /// show 0 there).
     std::uint64_t cascadeBpRestarts = 0; ///< Restarts delayed.
     std::uint64_t cascadeBpCycles = 0;   ///< Total extra delay.
 
@@ -335,7 +335,7 @@ class TMMachine : public mem::CoherenceListener
     std::vector<std::uint32_t> _abortStreak;
     std::vector<std::uint32_t> _conflictHeat;
     /// Consecutive cascade-cause aborts since the core's last commit
-    /// (TMConfig::datmCascadeBackpressure).
+    /// (DATM cascade back-pressure, restartBackoff).
     std::vector<std::uint32_t> _cascadeStreak;
     std::vector<Addr> _abortBlame;
 

@@ -98,10 +98,6 @@ enum class BackoffPolicy : std::uint8_t {
 
 const char *backoffPolicyName(BackoffPolicy p);
 
-/** Parse a policy name ("none", "linear", "exp", "prop"); fatal()s on
- *  unknown names. */
-BackoffPolicy backoffPolicyFromName(const char *name);
-
 /** NACK/abort backoff configuration (TMConfig::backoff). */
 struct BackoffConfig {
     BackoffPolicy policy = BackoffPolicy::None;
@@ -197,7 +193,6 @@ struct TMConfig {
      * corrupt memory.
      */
     bool commitTokenArbitration = false;
-    Cycle abortRollbackCycles = 0; ///< §2: zero-cycle rollback baseline.
     Cycle serialLockLatency = 40; ///< Global-lock handoff (Serial mode).
 
     /**
@@ -208,25 +203,6 @@ struct TMConfig {
      * per-attempt memory-operation bound is the backstop.
      */
     std::uint64_t zombieOpLimit = 100000;
-
-    /**
-     * DATM cascade back-pressure (part of the DATM support envelope —
-     * api/datm_envelope.hpp). A core whose transaction was killed by
-     * a forwarding cascade delays its restart by
-     * min(datmCascadeCap, datmCascadeBase << (streak - 1)) cycles,
-     * where the streak counts consecutive cascade aborts since the
-     * core's last commit. This breaks the retry storms that keep
-     * cascading workloads from converging: re-launching every cascade
-     * member at once just rebuilds the same dataflow chain and kills
-     * it again. On by default; only cascade-cause aborts are charged,
-     * so every non-DATM mode is bit-identical either way, and the
-     * delay is deterministic (no jitter) independent of
-     * BackoffConfig::policy. Charged cycles are reported separately
-     * (MachineStats::cascadeBpCycles), never as backoffCycles.
-     */
-    bool datmCascadeBackpressure = true;
-    Cycle datmCascadeBase = 16;
-    Cycle datmCascadeCap = 2048;
 
     /**
      * Test-only fault injection: XORed into every commit-time repaired

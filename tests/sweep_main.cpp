@@ -70,11 +70,14 @@
 //   --trace-keep  keep the streamed .rtt files on disk (for the CI
 //                 corruption negative control and manual
 //                 retcon-query sessions).
-// Numeric values are parsed strictly and range-checked: scale > 0,
-// nthreads, --shards, --mem-banks and --clusters 1-64, --host-threads
-// 0-64 (0 and 1 run serially), --xc-fraction 0-1. A bad value exits 2
-// naming the option ("bad value 'abc' for scale ..."). --shards above
-// nthreads is lowered to nthreads.
+// Run options map onto knobs (api/config.hpp), parsed strictly and
+// range-checked by the knob table; a bad value exits 2 naming the
+// option ("bad value 'abc' for scale ..."). --host-threads is the
+// sweep's own, 0-64 (0 and 1 run serially). Every row's config must
+// pass api::checkConfig or the sweep exits 2 with the reason before
+// running anything: nothing is clamped, so --shards above nthreads or a
+// fleet over 64 cores or banks is rejected. A cell checkConfig rejects
+// (DATM outside its envelope) prints `-` and the reason.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -88,9 +91,8 @@
 #include <thread>
 #include <vector>
 
-#include "api/datm_envelope.hpp"
+#include "api/config.hpp"
 #include "api/parse.hpp"
-#include "api/runner.hpp"
 #include "query/replay.hpp"
 #include "scenario/scenario.hpp"
 
@@ -125,7 +127,7 @@ appendf(std::string &out, const char *fmt, ...)
 
 /** One (workload, config) run slot, filled by whichever thread. */
 struct Cell {
-    bool supported = true;
+    std::string rejected; ///< checkConfig's reason; the cell never ran.
     api::RunResult r;
     double wallMs = 0.0;
     /// Streamed-trace leg (--trace-out): windowed re-validation of
@@ -221,9 +223,10 @@ checkStreamedCell(Cell &cell, const std::string &path,
 /** One output row: the sequential baseline plus every config cell. */
 struct Row {
     std::string name;
+    api::RunConfig base; ///< The cells vary only its TM config.
     Cycle seq = 0;
     double seqWallMs = 0.0;
-    std::vector<Cell> cells;
+    std::vector<Cell> cells = {};
 };
 
 /**
@@ -259,32 +262,45 @@ main(int argc, char **argv)
     bool quick = false;
     bool audit = false;
     bool annotate_phases = false;
-    unsigned shards = 1;
-    unsigned banks = 1;
-    unsigned clusters = 1;
     unsigned host_threads = 0;
-    double xc_fraction = -1.0; // < 0: default per cluster count.
-    htm::BackoffPolicy backoff = htm::BackoffPolicy::None;
+    bool xc_set = false;
     const char *trace_out = nullptr;
     bool trace_keep = false;
     const char *scenario_arg = nullptr;
-    double scale = 0.25;
-    unsigned nthreads = 8;
-    const char *only = nullptr;
+    api::RunConfig base;
+    base.scale = 0.25;
+    base.nthreads = 8;
+    static const std::pair<const char *, const char *> kRunKnobs[] = {
+        {"--shards", "shards"},     {"--mem-banks", "memBanks"},
+        {"--clusters", "clusters"}, {"--backoff", "backoff"},
+        {"--xc-fraction", "crossClusterFraction"},
+    };
+    static const char *const kPositionalKnobs[] = {"scale", "nthreads",
+                                                   "workload"};
 
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--list-scenarios") == 0) {
+        auto need = [&]() -> const char * {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s requires a value\n", argv[i]);
+                std::exit(1);
+            }
+            return argv[++i];
+        };
+        const char *knob = nullptr;
+        for (const auto &[flag, name] : kRunKnobs)
+            if (std::strcmp(argv[i], flag) == 0)
+                knob = name;
+        if (knob) {
+            const char *flag = argv[i];
+            api::applyKnobOrExit(base, knob, flag, need());
+            xc_set = xc_set || std::strcmp(flag, "--xc-fraction") == 0;
+        } else if (std::strcmp(argv[i], "--list-scenarios") == 0) {
             for (const scenario::Scenario &s : scenario::registry())
                 std::printf("%-16s %s\n", s.name, s.description);
             return 0;
         } else if (std::strcmp(argv[i], "--scenario") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--scenario requires a name or 'all'\n");
-                return 1;
-            }
-            scenario_arg = argv[++i];
+            scenario_arg = need();
         } else if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
         } else if (std::strcmp(argv[i], "--audit") == 0) {
@@ -294,78 +310,21 @@ main(int argc, char **argv)
             // (request-range quarters); audit-stream-only, so rows are
             // unchanged. Anchors retcon-query's span queries.
             annotate_phases = true;
-        } else if (std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--shards requires a count\n");
-                return 1;
-            }
-            shards = api::countOrExit("--shards", argv[++i], 1, 64);
-        } else if (std::strcmp(argv[i], "--mem-banks") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--mem-banks requires a count\n");
-                return 1;
-            }
-            banks = api::countOrExit("--mem-banks", argv[++i], 1, 64);
-        } else if (std::strcmp(argv[i], "--clusters") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--clusters requires a count\n");
-                return 1;
-            }
-            clusters = api::countOrExit("--clusters", argv[++i], 1, 64);
-        } else if (std::strcmp(argv[i], "--xc-fraction") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--xc-fraction requires a fraction\n");
-                return 1;
-            }
-            const char *v = argv[++i];
-            if (!api::parseDouble(v, xc_fraction) || xc_fraction < 0.0 ||
-                xc_fraction > 1.0) {
-                std::fprintf(stderr,
-                             "bad value '%s' for --xc-fraction "
-                             "(a number 0-1)\n",
-                             v);
-                return 2;
-            }
         } else if (std::strcmp(argv[i], "--host-threads") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--host-threads requires a count\n");
-                return 1;
-            }
-            host_threads =
-                api::countOrExit("--host-threads", argv[++i], 0, 64);
+            host_threads = api::countOrExit("--host-threads", need(), 0, 64);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--trace-out requires a path prefix\n");
-                return 1;
-            }
-            trace_out = argv[++i];
+            trace_out = need();
         } else if (std::strcmp(argv[i], "--trace-keep") == 0) {
             trace_keep = true;
-        } else if (std::strcmp(argv[i], "--backoff") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--backoff requires a policy "
-                                     "(none|linear|exp|prop)\n");
-                return 1;
-            }
-            backoff = htm::backoffPolicyFromName(argv[++i]);
         } else if (argv[i][0] == '-' && argv[i][1] == '-') {
             // An unrecognized --flag must never be silently consumed
             // as a positional (a typo would quietly change the sweep).
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             usage(argv[0]);
             return 1;
-        } else if (positional == 0) {
-            scale = api::positiveOrExit("scale", argv[i]);
-            ++positional;
-        } else if (positional == 1) {
-            nthreads = api::countOrExit("nthreads", argv[i], 1, 64);
-            ++positional;
-        } else if (positional == 2) {
-            only = argv[i];
-            ++positional;
+        } else if (positional < 3) {
+            const char *name = kPositionalKnobs[positional++];
+            api::applyKnobOrExit(base, name, name, argv[i]);
         } else {
             std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
             usage(argv[0]);
@@ -374,57 +333,55 @@ main(int argc, char **argv)
     }
     // --quick sets CI-sized defaults but never overrides explicitly
     // supplied scale/nthreads.
-    if (quick && positional == 0) {
-        scale = 0.05;
-        nthreads = 4;
-    } else if (quick && positional == 1) {
-        nthreads = 4;
-    }
-    if (shards > nthreads)
-        shards = nthreads;
-    // Fleet-wide totals must respect the machine limits (64 cores,
-    // 64 banks); nthreads and banks are per-cluster sizes here.
-    while (clusters > 1 &&
-           (clusters * nthreads > 64 || clusters * banks > 64))
-        --clusters;
-    if (xc_fraction < 0.0)
-        xc_fraction = clusters > 1 ? 0.25 : 0.0;
+    if (quick && positional < 1)
+        base.scale = 0.05;
+    if (quick && positional < 2)
+        base.nthreads = 4;
+    const bool only = positional == 3;
+    if (!xc_set && base.clusters > 1)
+        base.crossClusterFraction = 0.25;
+    base.trace.enabled = audit;
+    base.annotatePhases = annotate_phases;
     if (trace_out && !audit) {
         // The streamed leg's whole check is verdict parity with the
         // in-memory audit; without one there is nothing to compare.
         std::fprintf(stderr, "--trace-out requires --audit\n");
         return 1;
     }
-    std::vector<std::string> scenario_names;
-    if (scenario_arg) {
-        if (only) {
-            std::fprintf(stderr,
-                         "--scenario fixes the workload to 'service'; "
-                         "drop the workload argument\n");
-            return 1;
-        }
-        if (std::strcmp(scenario_arg, "all") == 0) {
-            for (const scenario::Scenario &s : scenario::registry())
-                scenario_names.push_back(s.name);
-        } else if (scenario::scenarioByName(scenario_arg) != nullptr) {
-            scenario_names.push_back(scenario_arg);
-        } else {
-            std::fprintf(stderr,
-                         "unknown scenario '%s' (--list-scenarios "
-                         "prints the registry)\n",
-                         scenario_arg);
-            return 1;
-        }
-    }
 
-    if (shards > 1)
-        std::printf("event queue sharded %u ways\n", shards);
-    if (banks > 1)
-        std::printf("directory banked %u ways\n", banks);
-    if (clusters > 1)
+    // One row per workload, or per scenario driving the service
+    // workload; every row's config must pass checkConfig before
+    // anything runs.
+    if (scenario_arg && !only)
+        base.workload = "service";
+    std::vector<Row> rows;
+    auto add_row = [&](const std::string &name) {
+        Row &row = rows.emplace_back(Row{name, base});
+        (scenario_arg ? row.base.scenario : row.base.workload) = name;
+    };
+    if (scenario_arg && std::strcmp(scenario_arg, "all") == 0)
+        for (const scenario::Scenario &s : scenario::registry())
+            add_row(s.name);
+    else if (scenario_arg)
+        add_row(scenario_arg);
+    else if (only)
+        add_row(base.workload);
+    else
+        for (const auto &name : workloads::extendedWorkloadNames())
+            add_row(name);
+    for (const Row &row : rows)
+        api::checkConfigOrExit(row.base);
+
+    if (base.shards > 1)
+        std::printf("event queue sharded %u ways\n", base.shards);
+    if (base.memBanks > 1)
+        std::printf("directory banked %u ways\n", base.memBanks);
+    if (base.clusters > 1)
         std::printf("fleet: %u clusters (%u cores, %u banks each), "
                     "xc-fraction %.2f\n",
-                    clusters, nthreads, banks, xc_fraction);
+                    base.clusters, base.nthreads, base.memBanks,
+                    base.crossClusterFraction);
+    const htm::BackoffPolicy backoff = base.tm.backoff.policy;
     if (backoff != htm::BackoffPolicy::None)
         std::printf("retry backoff: %s\n",
                     htm::backoffPolicyName(backoff));
@@ -441,67 +398,34 @@ main(int argc, char **argv)
     datm.mode = htm::TMMode::DATM;
     configs.push_back({"datm", datm});
 
-    std::vector<Row> rows;
     std::vector<std::function<void()>> tasks;
-    if (scenario_arg) {
-        // Scenario mode: each row is one registered scenario driving
-        // the service workload; the row name is the scenario name.
+    if (scenario_arg)
         std::printf("scenario sweep: %zu scenario%s x service "
                     "workload\n",
-                    scenario_names.size(),
-                    scenario_names.size() == 1 ? "" : "s");
-        for (const std::string &sn : scenario_names)
-            rows.push_back(Row{sn, 0, 0.0,
-                               std::vector<Cell>(configs.size())});
-    } else {
-        for (const auto &name : workloads::extendedWorkloadNames()) {
-            if (only && name != only)
-                continue;
-            rows.push_back(Row{name, 0, 0.0,
-                               std::vector<Cell>(configs.size())});
-        }
-    }
-    if (rows.empty()) {
-        std::fprintf(stderr, "no workload matched '%s'\n",
-                     only ? only : "");
-        return 1;
-    }
+                    rows.size(), rows.size() == 1 ? "" : "s");
+    const unsigned total_cores = base.nthreads * base.clusters;
     for (Row &row : rows) {
-        api::RunConfig base;
-        base.workload = scenario_arg ? "service" : row.name;
-        if (scenario_arg)
-            base.scenario = row.name;
-        base.nthreads = nthreads;
-        base.scale = scale;
-        base.shards = shards;
-        base.memBanks = banks;
-        base.clusters = clusters;
-        base.crossClusterFraction = xc_fraction;
-        base.trace.enabled = audit;
-        base.annotatePhases = annotate_phases;
-        tasks.push_back([&row, base] {
+        tasks.push_back([&row] {
             auto t0 = std::chrono::steady_clock::now();
-            row.seq = api::sequentialCycles(base);
+            row.seq = api::sequentialCycles(row.base);
             row.seqWallMs = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
         });
+        row.cells.resize(configs.size());
         for (std::size_t k = 0; k < configs.size(); ++k) {
             Cell &cell = row.cells[k];
-            if (configs[k].tm.mode == htm::TMMode::DATM &&
-                !api::datmSupported(base.workload, scale,
-                                    nthreads * clusters, clusters)) {
-                cell.supported = false;
-                continue;
-            }
-            api::RunConfig cfg = base;
+            api::RunConfig cfg = row.base;
             cfg.tm = configs[k].tm;
             cfg.tm.backoff.policy = backoff;
             // The two-level commit protocol is the fleet's whole
             // point: remote bank tokens must cross the wire, so
             // arbitration is always modeled on a fleet.
-            if (clusters > 1)
+            if (cfg.clusters > 1)
                 cfg.tm.commitTokenArbitration = true;
+            cell.rejected = api::checkConfig(cfg);
+            if (!cell.rejected.empty())
+                continue;
             std::string stream_path;
             if (trace_out) {
                 stream_path = std::string(trace_out) + "_" + row.name +
@@ -509,7 +433,6 @@ main(int argc, char **argv)
                               ".rtt";
                 cfg.trace.streamPath = stream_path;
             }
-            const unsigned total_cores = nthreads * clusters;
             tasks.push_back([&cell, cfg, stream_path, total_cores,
                              trace_keep] {
                 auto t0 = std::chrono::steady_clock::now();
@@ -556,7 +479,7 @@ main(int argc, char **argv)
         std::uint64_t backoff_cycles = 0;
         double row_wall_ms = row.seqWallMs;
         for (const Cell &cell : row.cells) {
-            if (!cell.supported) {
+            if (!cell.rejected.empty()) {
                 appendf(line, " %8s", "-");
                 continue;
             }
@@ -607,16 +530,15 @@ main(int argc, char **argv)
             const scenario::Scenario *sc =
                 scenario::scenarioByName(row.name);
             scenario::Plan plan;
-            const api::RunConfig defaults; // The sweep keeps its seed.
             scenario::Env env;
-            env.seed = defaults.seed;
-            env.scale = scale;
-            env.nthreads = nthreads * clusters;
-            env.clusters = clusters;
+            env.seed = row.base.seed;
+            env.scale = row.base.scale;
+            env.nthreads = total_cores;
+            env.clusters = row.base.clusters;
             sc->setup(plan, env);
             api::ScenarioSummary sum;
             for (const Cell &cell : row.cells) {
-                if (!cell.supported)
+                if (!cell.rejected.empty())
                     continue;
                 const api::ScenarioSummary &s = cell.r.scenario;
                 if (s.injected != s.completed + s.dropped) {
@@ -688,7 +610,7 @@ main(int argc, char **argv)
                                   "never fired)");
                 }
             }
-            if (plan.fault.linkDegrade && clusters > 1) {
+            if (plan.fault.linkDegrade && base.clusters > 1) {
                 appendf(scen_note,
                         "  link fault: %llu messages, %llu extra "
                         "cycles\n",
@@ -709,21 +631,16 @@ main(int argc, char **argv)
         appendf(line, " | %10llu | %8.1f | %s\n",
                 (unsigned long long)backoff_cycles, row_wall_ms,
                 ok ? "yes" : "NO");
-        for (std::size_t k = 0; k < configs.size(); ++k) {
-            if (row.cells[k].supported)
-                continue;
-            // Only listed workloads can fall outside the envelope.
-            const api::DatmEnvelopeEntry *e =
-                api::datmEnvelopeRow(scenario_arg ? "service" : row.name);
-            appendf(line, "  %s: outside the DATM envelope (%s)\n",
-                    configs[k].label, e->reason);
-        }
+        for (std::size_t k = 0; k < configs.size(); ++k)
+            if (!row.cells[k].rejected.empty())
+                line += std::string("  ") + configs[k].label + ": " +
+                        row.cells[k].rejected + "\n";
         std::fputs(line.c_str(), stdout);
         if (!scen_note.empty())
             std::fputs(scen_note.c_str(), stdout);
         all_ok = all_ok && ok;
     }
-    if (clusters > 1) {
+    if (base.clusters > 1) {
         std::printf("fleet: %llu cross-cluster token waits, %llu net "
                     "messages, %llu net queue cycles\n",
                     (unsigned long long)xc_token_waits,
@@ -734,7 +651,8 @@ main(int argc, char **argv)
                         "the interconnect\n");
             all_ok = false;
         }
-        if (!only && xc_fraction > 0.0 && xc_token_waits == 0) {
+        if (!only && base.crossClusterFraction > 0.0 &&
+            xc_token_waits == 0) {
             std::printf("FAIL: no commit ever waited on a remote "
                         "bank token — the two-level commit protocol "
                         "was vacuous\n");
@@ -761,7 +679,7 @@ main(int argc, char **argv)
         for (const Row &row : rows)
             for (std::size_t k = 0; k < configs.size(); ++k)
                 if (configs[k].tm.mode == htm::TMMode::DATM &&
-                    row.cells[k].supported)
+                    row.cells[k].rejected.empty())
                     datm_ran = true;
         if (!only && datm_ran && chains_validated == 0) {
             std::printf("FAIL: no forwarded commits were re-derived — "

@@ -386,6 +386,11 @@ TEST(WhatIf, BadKnobIsRejected)
     EXPECT_FALSE(w.ok);
     EXPECT_NE(w.error.find("warp-factor"), std::string::npos);
 
+    // Out of the knob's range: rejected before anything runs.
+    w = api::runWhatIf(whatIfBase(), {{"shards", "100"}});
+    EXPECT_FALSE(w.ok);
+    EXPECT_NE(w.error.find("shards"), std::string::npos) << w.error;
+
     api::RunConfig cfg;
     EXPECT_FALSE(api::applyKnob(cfg, "backoff", "sideways"));
     EXPECT_FALSE(api::applyKnob(cfg, "nthreads", "0"));

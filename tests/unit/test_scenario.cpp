@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 
+#include "api/config.hpp"
 #include "api/datm_envelope.hpp"
 #include "api/runner.hpp"
 #include "net/topology.hpp"
@@ -158,13 +159,14 @@ TEST(ScenarioGrid, BitIdenticalAcrossShards)
 /** Arrival ledgers conserve, and each family's mechanism engages. */
 TEST(ScenarioGrid, ArrivalConservationAndEngagement)
 {
+    const api::RunConfig defaults;
     for (const scenario::Scenario &s : scenario::registry()) {
         api::RunResult r = runClean(scenarioConfig(s.name), s.name);
         const api::ScenarioSummary &sum = r.scenario;
         EXPECT_EQ(sum.name, s.name);
 
         scenario::Env env;
-        env.seed = api::RunConfig{}.seed;
+        env.seed = defaults.seed;
         env.scale = 0.05;
         env.nthreads = 4;
         scenario::Plan plan;
@@ -305,6 +307,116 @@ TEST(DatmEnvelope, IntruderThreadBoundRunsAudited)
     cfg.nthreads = 16;
     EXPECT_FALSE(api::datmSupported(cfg.workload, cfg.scale, 16, 1));
     EXPECT_DEATH(api::runOnce(cfg), "arena [0-9]+ exhausted");
+}
+
+/**
+ * api::checkConfig: the default config and every boundary point pass
+ * (an over-strict rule fails here), and each rule rejects with a
+ * reason that starts with the field it checks.
+ */
+TEST(CheckConfig, BoundariesPassAndEachRuleNamesItsField)
+{
+    using Cfg = api::RunConfig;
+    struct Case {
+        const char *what;
+        void (*edit)(Cfg &);
+        const char *field; ///< Empty: the config must pass.
+    };
+    const Case cases[] = {
+        {"default", [](Cfg &) {}, ""},
+        {"64 threads on one cluster", [](Cfg &c) { c.nthreads = 64; }, ""},
+        {"a 32x2 fleet",
+         [](Cfg &c) {
+             c.nthreads = 32;
+             c.clusters = 2;
+             c.memBanks = 32;
+         },
+         ""},
+        {"shards == nthreads",
+         [](Cfg &c) {
+             c.nthreads = 8;
+             c.shards = 8;
+         },
+         ""},
+        {"64 banks", [](Cfg &c) { c.memBanks = 64; }, ""},
+        {"crossClusterFraction 1", [](Cfg &c) { c.crossClusterFraction = 1; },
+         ""},
+        {"a scenario on service",
+         [](Cfg &c) {
+             c.workload = "service";
+             c.scenario = "poisson-open";
+         },
+         ""},
+        {"ring", [](Cfg &c) { c.netTopology = "ring"; }, ""},
+        {"DATM inside the envelope",
+         [](Cfg &c) {
+             c.workload = "intruder";
+             c.scale = 0.25;
+             c.nthreads = 8;
+             c.tm.mode = htm::TMMode::DATM;
+         },
+         ""},
+
+        {"zero clusters", [](Cfg &c) { c.clusters = 0; },
+         "nthreads x clusters"},
+        {"zero threads", [](Cfg &c) { c.nthreads = 0; }, "nthreads"},
+        {"65 threads", [](Cfg &c) { c.nthreads = 65; }, "nthreads"},
+        {"a 66-core fleet",
+         [](Cfg &c) {
+             c.nthreads = 33;
+             c.clusters = 2;
+         },
+         "nthreads x clusters"},
+        {"zero shards", [](Cfg &c) { c.shards = 0; }, "shards"},
+        {"shards over nthreads",
+         [](Cfg &c) {
+             c.nthreads = 8;
+             c.shards = 9;
+         },
+         "shards"},
+        {"zero banks", [](Cfg &c) { c.memBanks = 0; }, "memBanks"},
+        {"65 banks", [](Cfg &c) { c.memBanks = 65; }, "memBanks"},
+        {"a 66-bank fleet",
+         [](Cfg &c) {
+             c.nthreads = 16;
+             c.clusters = 2;
+             c.memBanks = 33;
+         },
+         "memBanks x clusters"},
+        {"crossClusterFraction over 1",
+         [](Cfg &c) { c.crossClusterFraction = 1.5; },
+         "crossClusterFraction"},
+        {"unknown workload", [](Cfg &c) { c.workload = "warp"; },
+         "workload"},
+        {"unknown scenario",
+         [](Cfg &c) {
+             c.workload = "service";
+             c.scenario = "warp";
+         },
+         "scenario"},
+        {"a scenario off service",
+         [](Cfg &c) { c.scenario = "poisson-open"; }, "scenario"},
+        {"unknown topology", [](Cfg &c) { c.netTopology = "mesh"; },
+         "netTopology"},
+        {"DATM outside the envelope",
+         [](Cfg &c) {
+             c.workload = "intruder";
+             c.scale = 0.1;
+             c.nthreads = 16;
+             c.tm.mode = htm::TMMode::DATM;
+         },
+         "tm.mode datm"},
+    };
+    for (const Case &c : cases) {
+        Cfg cfg;
+        c.edit(cfg);
+        std::string why = api::checkConfig(cfg);
+        if (*c.field == '\0')
+            EXPECT_EQ(why, "") << c.what;
+        else
+            EXPECT_EQ(why.rfind(c.field, 0), 0u)
+                << c.what << ": '" << why << "'";
+    }
 }
 
 /** DATM runs get the widened arena; every other mode the default. */

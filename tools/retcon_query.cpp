@@ -20,11 +20,12 @@
 //   --partitions P (service state partitions, default 1)
 //   --annotate-phases  (service phase marks, default off)
 // The valued options are range-checked like the knobs of the same name
-// (api::applyKnob); a bad value exits 2 naming the option.
-// Each --set knob=value is one change; see api::applyKnob for the
-// knob vocabulary. With no --set the variant is the base itself and
-// the report must show a bit-identical run whose reach check holds —
-// the determinism self-check.
+// (the knob table, api/config.hpp); a bad value exits 2 naming the
+// option. Each --set knob=value is one change on the same vocabulary.
+// Both the base and the changed config must pass api::checkConfig, or
+// whatif exits 2 with the reason. With no --set the variant is the
+// base itself and the report must show a bit-identical run whose
+// reach check holds — the determinism self-check.
 //
 // smoke: self-contained CI check — record a quick contended service
 // run, stream and export it, reload, exercise every query surface,
@@ -260,8 +261,7 @@ cmdWhatIf(int argc, char **argv)
     base.scale = 0.1;
     base.trace.enabled = true;
     std::vector<api::KnobChange> changes;
-    // Run options that are also what-if knobs; api::applyKnob
-    // range-checks their values.
+    // Run options that are also what-if knobs.
     static const std::pair<const char *, const char *> kRunKnobs[] = {
         {"--workload", "workload"}, {"--nthreads", "nthreads"},
         {"--seed", "seed"},         {"--scale", "scale"},
@@ -281,12 +281,7 @@ cmdWhatIf(int argc, char **argv)
                 knob = name;
         if (knob) {
             const char *flag = argv[i];
-            const char *value = need(flag);
-            if (!api::applyKnob(base, knob, value)) {
-                std::fprintf(stderr, "whatif: bad value '%s' for %s\n",
-                             value, flag);
-                return 2;
-            }
+            api::applyKnobOrExit(base, knob, flag, need(flag));
         } else if (std::strcmp(argv[i], "--annotate-phases") == 0) {
             base.annotatePhases = true;
         } else if (std::strcmp(argv[i], "--set") == 0) {
