@@ -6,7 +6,8 @@
  *   RETCON_SCALE    input-size multiplier (default 0.4)
  *   RETCON_THREADS  simulated core count  (default 32, as in Table 1)
  * A value that is not a number > 0 (scale) or an integer 1-64
- * (threads) exits 2 naming the variable (api/config.hpp).
+ * (threads) exits 2 naming the variable (api/config.hpp). A bench
+ * whose run fails validation prints `!!` and exits 1 (exitStatus).
  */
 
 #ifndef RETCON_BENCH_COMMON_HPP
@@ -51,12 +52,24 @@ printHeader(const char *experiment, const char *paper_ref)
     std::printf("==================================================\n");
 }
 
+/// Set by flagInvalid: some run of this bench failed validation.
+inline bool anyInvalid = false;
+
 inline void
 flagInvalid(const api::RunResult &r, const std::string &workload)
 {
-    if (!r.validation.ok)
+    if (!r.validation.ok) {
         std::printf("!! %s failed validation: %s\n", workload.c_str(),
                     r.validation.note.c_str());
+        anyInvalid = true;
+    }
+}
+
+/** A bench's exit status: 1 if flagInvalid flagged any run. */
+inline int
+exitStatus()
+{
+    return anyInvalid ? 1 : 0;
 }
 
 } // namespace retcon::bench

@@ -43,5 +43,5 @@ main()
             std::fflush(stdout);
         }
     }
-    return 0;
+    return exitStatus();
 }

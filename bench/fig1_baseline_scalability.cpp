@@ -29,5 +29,5 @@ main()
                     static_cast<unsigned long long>(r.cycles),
                     double(seq) / double(r.cycles));
     }
-    return 0;
+    return exitStatus();
 }

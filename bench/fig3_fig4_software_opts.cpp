@@ -50,5 +50,5 @@ main(int argc, char **argv)
                     100 * r.breakdown.other / total);
         std::fflush(stdout);
     }
-    return 0;
+    return exitStatus();
 }

@@ -42,5 +42,5 @@ main()
         }
         std::printf("\n");
     }
-    return 0;
+    return exitStatus();
 }

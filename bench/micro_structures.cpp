@@ -1,51 +1,21 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator's hot structures:
- * event queue throughput, cache tag lookups, interval constraint
- * recording, IVB/SSB operations, and predictor queries. These bound
- * the host-side cost per simulated memory operation.
+ * google-benchmark microbenchmarks of the RETCON structures that have
+ * no twin in perf/: interval constraint recording, IVB/SSB operations,
+ * constraint-buffer checks and predictor queries. The event queue and
+ * the memory system are measured in place by perf/
+ * (sim.queue_ns_per_event, mem.access_ns).
  */
 
 #include <benchmark/benchmark.h>
 
-#include "mem/cache.hpp"
 #include "retcon/constraint_buffer.hpp"
 #include "retcon/ivb.hpp"
 #include "retcon/predictor.hpp"
 #include "retcon/ssb.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
 using namespace retcon;
-
-static void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        int sink = 0;
-        for (int i = 0; i < 1024; ++i)
-            eq.schedule(i, [&sink] { ++sink; });
-        eq.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
-
-static void
-BM_CacheInsertLookup(benchmark::State &state)
-{
-    mem::SetAssocCache cache({64 * 1024, 4});
-    Xoshiro rng(7);
-    for (auto _ : state) {
-        Addr block = blockAddr(rng.below(1 << 20) * kBlockBytes);
-        cache.insert(block);
-        benchmark::DoNotOptimize(cache.contains(block));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheInsertLookup);
 
 static void
 BM_IntervalConstrain(benchmark::State &state)

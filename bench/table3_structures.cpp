@@ -46,5 +46,5 @@ main()
                     m.commitCycles.avg(), m.commitStallPct());
         std::fflush(stdout);
     }
-    return 0;
+    return exitStatus();
 }

@@ -114,8 +114,8 @@ const Knob kKnobs[] = {
      [](C c, V s) { return setFlag(c.contentionSched, s); }},
     {"commitTokenArbitration", "0|1", Conflicts,
      [](C c, V s) { return setFlag(c.tm.commitTokenArbitration, s); }},
-    {"memBankOccupancy", "an integer", Conflicts,
-     [](C c, V s) { return setCount(c.memBankOccupancy, s); }},
+    {"memBankOccupancy", "an integer 0-65535", Conflicts,
+     [](C c, V s) { return setCount(c.memBankOccupancy, s, 0, 65535); }},
     {"shardBandwidth", "a 32-bit integer, 0 = unlimited", Conflicts,
      [](C c, V s) { return setCount(c.shardBandwidth, s); }},
     {"faultInjectRepairXor", "an integer", Repairs,

@@ -244,7 +244,8 @@ struct HostSummary {
  * TraceOptions::streamPath). Host-side like HostSummary:
  * flush stalls are wall time the event loop spent blocked in stream
  * writes, never simulated cycles — streaming must not perturb the
- * simulation (bench/trace_stream proves cycles identical either way).
+ * simulation (service_scalability's streamed point asserts cycles
+ * identical either way).
  */
 struct TraceStreamSummary {
     std::uint64_t records = 0;

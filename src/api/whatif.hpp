@@ -23,7 +23,8 @@
  *     knob shows up as a failed reach check.
  *
  * The variant stream is then validated offline (query/replay.hpp): it
- * must reenact cleanly.
+ * must reenact cleanly, and both runs must pass their workload's
+ * validation (a variant that runs out of maxCycles does not).
  */
 
 #ifndef RETCON_API_WHATIF_HPP
@@ -81,6 +82,14 @@ struct WhatIfResult {
     /** Full run outcomes for downstream comparison. */
     RunResult baseResult;
     RunResult variantResult;
+
+    /** The report's verdict: the reach check held, both runs passed
+     *  their workload validation, and the variant reenacts cleanly. */
+    bool passed() const
+    {
+        return reachHeld && baseResult.validation.ok &&
+               variantResult.validation.ok && reenact.report.ok();
+    }
 };
 
 /**

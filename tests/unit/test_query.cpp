@@ -301,6 +301,7 @@ TEST(WhatIf, NoChangeIsBitIdenticalAndReachHolds)
     // The variant is the recorded stream, and it reenacts.
     ASSERT_EQ(w.variant.size(), w.recorded.size());
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
+    EXPECT_TRUE(w.passed());
 }
 
 TEST(WhatIf, ConflictKnobDivergesAtOrAfterTheFrontier)
@@ -377,6 +378,27 @@ TEST(WhatIf, MisclassifiedKnobFailsTheReachCheck)
     EXPECT_EQ(w.reach, api::ReachClass::Nothing);
     EXPECT_TRUE(w.diverged);
     EXPECT_FALSE(w.reachHeld);
+}
+
+TEST(WhatIf, VariantThatFailsValidationFailsTheReport)
+{
+    // An in-range bank occupancy that holds a bank for 65,535 cycles
+    // per request cannot finish inside a cycle budget the base run
+    // fits in easily. The variant stops short and fails its workload
+    // validation, and the report must fail with it.
+    api::RunConfig base = whatIfBase();
+    base.maxCycles = 4 * api::runOnce(base).cycles;
+    api::WhatIfResult w =
+        api::runWhatIf(base, {{"memBankOccupancy", "65535"}});
+    ASSERT_TRUE(w.ok) << w.error;
+    EXPECT_TRUE(w.baseResult.validation.ok);
+    EXPECT_FALSE(w.variantResult.validation.ok);
+    EXPECT_FALSE(w.passed());
+
+    // One past the knob's range is rejected before anything runs.
+    w = api::runWhatIf(base, {{"memBankOccupancy", "65536"}});
+    EXPECT_FALSE(w.ok);
+    EXPECT_NE(w.error.find("memBankOccupancy"), std::string::npos);
 }
 
 TEST(WhatIf, BadKnobIsRejected)

@@ -25,7 +25,9 @@
 // Both the base and the changed config must pass api::checkConfig, or
 // whatif exits 2 with the reason. With no --set the variant is the
 // base itself and the report must show a bit-identical run whose
-// reach check holds — the determinism self-check.
+// reach check holds — the determinism self-check. whatif exits 1
+// unless the reach check holds, the variant reenacts cleanly and both
+// runs pass their workload's validation.
 //
 // smoke: self-contained CI check — record a quick contended service
 // run, stream and export it, reload, exercise every query surface,
@@ -250,6 +252,11 @@ printWhatIf(const api::WhatIfResult &w)
                 " unknown reads)\n",
                 w.reenact.report.ok() ? "clean" : "MISMATCH",
                 w.reenact.seededWords, w.reenact.unknownReads);
+    for (const auto *r : {&w.baseResult, &w.variantResult})
+        if (!r->validation.ok)
+            std::printf("validation FAILED: %s (%s run)\n",
+                        r->validation.note.c_str(),
+                        r == &w.baseResult ? "base" : "variant");
 }
 
 int
@@ -306,7 +313,7 @@ cmdWhatIf(int argc, char **argv)
         return 2;
     }
     printWhatIf(w);
-    return w.reachHeld && w.reenact.report.ok() ? 0 : 1;
+    return w.passed() ? 0 : 1;
 }
 
 /**
